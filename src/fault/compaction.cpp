@@ -1,6 +1,8 @@
 #include "fault/compaction.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
 
 #include "fault/parallel_fault_sim.hpp"
 #include "obs/instrument.hpp"
@@ -9,10 +11,8 @@
 namespace fbt {
 
 PerTestFaults detected_by_test(const Netlist& netlist, const TestSet& tests,
-                               const TransitionFaultList& faults,
-                               std::size_t num_threads, jobs::JobSystem* jobs,
-                               std::uint32_t fault_pack_width) {
-  ParallelBroadsideFaultSim sim(netlist, num_threads, jobs, fault_pack_width);
+                               const TransitionFaultList& faults) {
+  BroadsideFaultSim sim(netlist);
   const auto matrix = sim.detection_matrix(tests, faults);
   FBT_OBS_FOOTPRINT("fault.detection_matrix",
                     detection_matrix_footprint_bytes(matrix));
@@ -32,31 +32,12 @@ PerTestFaults detected_by_test(const Netlist& netlist, const TestSet& tests,
   return per_test;
 }
 
-std::vector<std::size_t> reverse_order_compaction(const PerTestFaults& per_test,
-                                                  std::size_t num_faults) {
-  std::vector<std::uint8_t> covered(num_faults, 0);
-  std::vector<std::size_t> kept;
-  for (std::size_t t = per_test.size(); t-- > 0;) {
-    bool essential = false;
-    for (const std::uint32_t f : per_test[t]) {
-      if (!covered[f]) {
-        essential = true;
-        break;
-      }
-    }
-    if (!essential) continue;
-    for (const std::uint32_t f : per_test[t]) covered[f] = 1;
-    kept.push_back(t);
-  }
-  std::sort(kept.begin(), kept.end());
-  return kept;
-}
-
 std::vector<std::size_t> reverse_order_compaction(
     const Netlist& netlist, const TestSet& tests,
     const TransitionFaultList& faults) {
-  return reverse_order_compaction(detected_by_test(netlist, tests, faults),
-                                  faults.size());
+  std::vector<std::size_t> group_of(tests.size());
+  std::iota(group_of.begin(), group_of.end(), std::size_t{0});
+  return reduce_groups(netlist, tests, faults, group_of, tests.size());
 }
 
 std::vector<std::size_t> forward_looking_compaction(
@@ -111,42 +92,6 @@ std::vector<std::size_t> forward_looking_compaction(
                                     faults.size());
 }
 
-std::vector<std::size_t> reduce_groups(const PerTestFaults& per_test,
-                                       std::size_t num_faults,
-                                       const std::vector<std::size_t>& group_of,
-                                       std::size_t num_groups) {
-  require(group_of.size() == per_test.size(), "reduce_groups",
-          "group_of must map every test");
-  std::vector<std::vector<std::uint32_t>> per_group(num_groups);
-  for (std::size_t t = 0; t < per_test.size(); ++t) {
-    require(group_of[t] < num_groups, "reduce_groups", "group id out of range");
-    auto& bucket = per_group[group_of[t]];
-    bucket.insert(bucket.end(), per_test[t].begin(), per_test[t].end());
-  }
-  for (auto& bucket : per_group) {
-    std::sort(bucket.begin(), bucket.end());
-    bucket.erase(std::unique(bucket.begin(), bucket.end()), bucket.end());
-  }
-
-  // Reverse-order sweep over groups.
-  std::vector<std::uint8_t> covered(num_faults, 0);
-  std::vector<std::size_t> kept;
-  for (std::size_t g = num_groups; g-- > 0;) {
-    bool essential = false;
-    for (const std::uint32_t f : per_group[g]) {
-      if (!covered[f]) {
-        essential = true;
-        break;
-      }
-    }
-    if (!essential) continue;
-    for (const std::uint32_t f : per_group[g]) covered[f] = 1;
-    kept.push_back(g);
-  }
-  std::sort(kept.begin(), kept.end());
-  return kept;
-}
-
 std::vector<std::size_t> reduce_groups(const Netlist& netlist,
                                        const TestSet& tests,
                                        const TransitionFaultList& faults,
@@ -155,10 +100,35 @@ std::vector<std::size_t> reduce_groups(const Netlist& netlist,
                                        std::size_t num_threads,
                                        jobs::JobSystem* jobs,
                                        std::uint32_t fault_pack_width) {
-  FBT_OBS_PHASE("reduce");  // covers the matrix simulation and the sweep
-  return reduce_groups(detected_by_test(netlist, tests, faults, num_threads,
-                                        jobs, fault_pack_width),
-                       faults.size(), group_of, num_groups);
+  FBT_OBS_PHASE("reduce");
+  require(group_of.size() == tests.size(), "reduce_groups",
+          "group_of must map every test");
+  // Group g owns tests [first[g], first[g] + size[g]).
+  std::vector<std::size_t> first(num_groups, 0);
+  std::vector<std::size_t> size(num_groups, 0);
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const std::size_t g = group_of[t];
+    require(g < num_groups, "reduce_groups", "group id out of range");
+    if (size[g] == 0) first[g] = t;
+    require(first[g] + size[g] == t, "reduce_groups",
+            "each group's tests must form one contiguous run");
+    ++size[g];
+  }
+
+  // Reverse-order sweep with fault dropping: grading group g at limit 1
+  // credits only faults no later group detected, so a positive return is
+  // exactly "g detects something the later groups miss".
+  ParallelBroadsideFaultSim sim(netlist, num_threads, jobs, fault_pack_width);
+  std::vector<std::uint32_t> covered(faults.size(), 0);
+  const std::span<const BroadsideTest> all(tests);
+  std::vector<std::size_t> kept;
+  for (std::size_t g = num_groups; g-- > 0;) {
+    if (sim.grade(all.subspan(first[g], size[g]), faults, covered, 1) > 0) {
+      kept.push_back(g);
+    }
+  }
+  std::reverse(kept.begin(), kept.end());
+  return kept;
 }
 
 }  // namespace fbt

@@ -2,19 +2,17 @@
 // selection reduction, refs [26][89]).
 //
 // Two classic passes over an already-generated test set:
-//  * reverse-order: simulate tests last-to-first, keeping a test only when it
-//    detects a fault no kept test detects;
+//  * reverse-order: grade groups of tests last-to-first with fault dropping,
+//    keeping a group only when it detects a fault no later group detects
+//    (reduce_groups; reverse_order_compaction is its one-test-per-group
+//    case). The sweep runs on the fault grader, so it shares the grader's
+//    thread sharding and PPSFP packing and feeds its counters;
 //  * forward-looking [89]: first compute, for every fault, the earliest test
 //    that detects it; a test is essential if it is the earliest detector of
 //    some fault; remaining faults are then credited to kept tests greedily.
+//    It consumes the serial no-drop detection matrix, transposed to per-test
+//    fault lists (detected_by_test).
 // Both preserve complete coverage of the original set.
-//
-// Every pass consumes the detection matrix transposed to per-test fault
-// lists. Each entry point exists in two forms: a convenience overload that
-// simulates the matrix itself (optionally across `num_threads` workers, 0 =
-// hardware concurrency), and an overload taking a precomputed PerTestFaults
-// so callers running several passes -- or a flow that already graded the set
-// -- pay the fault simulation once.
 #pragma once
 
 #include <cstdint>
@@ -29,22 +27,15 @@ namespace fbt {
 /// per_test[t] lists the indices of the faults test t detects, ascending.
 using PerTestFaults = std::vector<std::vector<std::uint32_t>>;
 
-/// Simulates the full detection matrix (no dropping) and transposes it to
-/// per-test fault lists. `num_threads` > 1 shards the fault list across a
-/// worker pool and `fault_pack_width` > 1 packs faults into bit-lanes inside
-/// each shard (PPSFP); the result is bit-identical for any combination.
+/// Simulates the full detection matrix (no dropping, serial engine) and
+/// transposes it to per-test fault lists.
 PerTestFaults detected_by_test(const Netlist& netlist, const TestSet& tests,
-                               const TransitionFaultList& faults,
-                               std::size_t num_threads = 1,
-                               jobs::JobSystem* jobs = nullptr,
-                               std::uint32_t fault_pack_width = 1);
+                               const TransitionFaultList& faults);
 
 /// Indices (into the original set) of the kept tests, ascending.
 std::vector<std::size_t> reverse_order_compaction(
     const Netlist& netlist, const TestSet& tests,
     const TransitionFaultList& faults);
-std::vector<std::size_t> reverse_order_compaction(const PerTestFaults& per_test,
-                                                  std::size_t num_faults);
 
 /// Forward-looking static compaction [89]; usually keeps fewer tests than
 /// the reverse-order pass.
@@ -54,10 +45,14 @@ std::vector<std::size_t> forward_looking_compaction(
 std::vector<std::size_t> forward_looking_compaction(
     const PerTestFaults& per_test, std::size_t num_faults);
 
-/// Drops whole groups (e.g. per-seed segments): group g may be dropped when
-/// every fault it detects is also detected by a kept group. `group_of[t]`
-/// maps test index to group id (0..num_groups-1). Returns kept group ids,
-/// ascending. This is the §4.3 "reduce the number of selected seeds" step.
+/// Drops whole groups (e.g. per-seed segments): group g is kept iff it
+/// detects a fault that no higher-numbered group detects. `group_of[t]` maps
+/// test index to group id (0..num_groups-1); each group's tests must form
+/// one contiguous run (fbt::Error otherwise), and a group may be empty.
+/// Returns kept group ids, ascending. This is the §4.3 "reduce the number of
+/// selected seeds" step. `num_threads`, `jobs` and `fault_pack_width`
+/// configure the grader as for ParallelBroadsideFaultSim; the kept set is
+/// identical for any setting.
 std::vector<std::size_t> reduce_groups(const Netlist& netlist,
                                        const TestSet& tests,
                                        const TransitionFaultList& faults,
@@ -66,9 +61,5 @@ std::vector<std::size_t> reduce_groups(const Netlist& netlist,
                                        std::size_t num_threads = 1,
                                        jobs::JobSystem* jobs = nullptr,
                                        std::uint32_t fault_pack_width = 1);
-std::vector<std::size_t> reduce_groups(const PerTestFaults& per_test,
-                                       std::size_t num_faults,
-                                       const std::vector<std::size_t>& group_of,
-                                       std::size_t num_groups);
 
 }  // namespace fbt

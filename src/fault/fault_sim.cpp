@@ -374,81 +374,16 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
 
 std::vector<std::vector<std::uint64_t>> BroadsideFaultSim::detection_matrix(
     std::span<const BroadsideTest> tests, const TransitionFaultList& faults) {
+  // Serial engine at any pack width: fault_mask reads only the block's
+  // good-machine values, which load_block leaves in the BitSim either way.
   const std::size_t words = (tests.size() + 63) / 64;
   std::vector<std::vector<std::uint64_t>> matrix(
       faults.size(), std::vector<std::uint64_t>(words, 0));
-  std::uint64_t pack_groups = 0;
-  const std::uint64_t pack_evals_before =
-      packed_ != nullptr ? packed_->diff_words_propagated() : 0;
   for (std::size_t first = 0; first < tests.size(); first += 64) {
-    const std::size_t count = std::min<std::size_t>(64, tests.size() - first);
-    load_block(tests, first, count);
-    if (pack_width_ > 1) {
-      // Test-major PPSFP, as in grade() but with no dropping: every
-      // (fault, launching test) pair is propagated and lands in its row bit.
-      bind_packed_block();
-      if (first == 0) {
-        site_internal_.resize(faults.size());
-        for (std::size_t f = 0; f < faults.size(); ++f) {
-          site_internal_[f] = packed_->internal_id(faults.fault(f).line);
-        }
-      }
-      const std::size_t ngroups = (faults.size() + 63) / 64;
-      launch_tx_.assign(ngroups * 64, 0);
-      for (std::size_t g = 0; g < ngroups; ++g) {
-        std::uint64_t ta[64] = {0};
-        const std::size_t base = g * 64;
-        const std::size_t glanes =
-            std::min<std::size_t>(64, faults.size() - base);
-        for (std::size_t k = 0; k < glanes; ++k) {
-          ta[k] = launch_mask(faults.fault(base + k));
-        }
-        transpose64(ta);
-        for (std::size_t t = 0; t < count; ++t) {
-          launch_tx_[t * ngroups + g] = ta[t];
-        }
-      }
-      for (std::size_t t = 0; t < count; ++t) {
-        std::size_t lanes = 0;
-        const auto flush = [&](std::size_t nlanes) {
-          ++pack_groups;
-          const std::uint64_t a =
-              nlanes == 64 ? ~0ULL : ((1ULL << nlanes) - 1);
-          std::uint64_t det = packed_->propagate_internal(
-              std::span<const NodeId>(chunk_sites_.data(), nlanes), a,
-              static_cast<unsigned>(t));
-          while (det != 0) {
-            const unsigned k = static_cast<unsigned>(__builtin_ctzll(det));
-            det &= det - 1;
-            matrix[chunk_fault_[k]][first / 64] |= 1ULL << t;
-          }
-        };
-        for (std::size_t g = 0; g < ngroups; ++g) {
-          std::uint64_t w = launch_tx_[t * ngroups + g];
-          while (w != 0) {
-            const unsigned k = static_cast<unsigned>(__builtin_ctzll(w));
-            w &= w - 1;
-            const std::uint32_t f = static_cast<std::uint32_t>(g * 64 + k);
-            chunk_sites_[lanes] = site_internal_[f];
-            chunk_fault_[lanes] = f;
-            if (++lanes == pack_width_) {
-              flush(lanes);
-              lanes = 0;
-            }
-          }
-        }
-        if (lanes != 0) flush(lanes);
-      }
-    } else {
-      for (std::size_t f = 0; f < faults.size(); ++f) {
-        matrix[f][first / 64] = fault_mask(faults.fault(f));
-      }
+    load_block(tests, first, std::min<std::size_t>(64, tests.size() - first));
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      matrix[f][first / 64] = fault_mask(faults.fault(f));
     }
-  }
-  if (packed_ != nullptr) {
-    FBT_OBS_COUNTER_ADD("fault.pack_groups_simulated", pack_groups);
-    FBT_OBS_COUNTER_ADD("fault.pack_diff_words_propagated",
-                        packed_->diff_words_propagated() - pack_evals_before);
   }
   return matrix;
 }

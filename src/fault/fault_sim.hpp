@@ -12,8 +12,13 @@
 //    tests per word (BitSim::fault_propagate);
 //  * PPSFP (fault_pack_width > 1): up to `fault_pack_width` faults per word,
 //    one test at a time, against the shared fault-free two-frame trace
-//    (PackedFaultProp). Detect counts, detection matrices, and first-detect
-//    provenance are bit-identical across pack widths.
+//    (PackedFaultProp). Detect counts and first-detect provenance are
+//    bit-identical across pack widths.
+// grade() is the product path -- candidate grading and the §4.3 reduction
+// sweep (reduce_groups) both run on it, so both feed fault.tests_graded and
+// the fault.pack_* counters. detection_matrix() always runs the serial
+// engine, whatever the pack width; its callers (the TPDF engine, the fault
+// dictionary, forward-looking compaction) use small test sets.
 #pragma once
 
 #include <cstdint>
@@ -98,7 +103,7 @@ class BroadsideFaultSim {
 
   /// Per-test detection bits for every fault (no dropping). Row f holds
   /// ceil(tests/64) words; bit t of word t/64 is 1 when test t detects fault
-  /// f. Intended for small test sets (Chapter-2 engine).
+  /// f. Serial engine at any pack width; intended for small test sets.
   std::vector<std::vector<std::uint64_t>> detection_matrix(
       std::span<const BroadsideTest> tests, const TransitionFaultList& faults);
 

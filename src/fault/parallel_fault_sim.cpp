@@ -114,36 +114,6 @@ std::size_t ParallelBroadsideFaultSim::grade(
   return newly_complete.load(std::memory_order_relaxed);
 }
 
-std::vector<std::vector<std::uint64_t>>
-ParallelBroadsideFaultSim::detection_matrix(std::span<const BroadsideTest> tests,
-                                            const TransitionFaultList& faults) {
-  if (shard_sims_.size() == 1 || faults.size() < 2 * shard_sims_.size()) {
-    FBT_OBS_COUNTER_ADD("fault.serial_grade_fallbacks", 1);
-    return shard_sims_[0]->detection_matrix(tests, faults);
-  }
-  Timer grade_timer;
-  FBT_OBS_GAUGE_SET("fault.parallel_threads", shard_sims_.size());
-  const std::vector<Shard> shards = make_shards(faults.size());
-  std::vector<std::vector<std::uint64_t>> matrix(faults.size());
-  jobs_->parallel_for(shards.size(), [&](std::size_t s) {
-    const Shard& shard = shards[s];
-    if (shard.begin == shard.end) return;
-    const auto& all = faults.faults();
-    std::vector<TransitionFault> sub(
-        all.begin() + static_cast<std::ptrdiff_t>(shard.begin),
-        all.begin() + static_cast<std::ptrdiff_t>(shard.end));
-    const TransitionFaultList shard_faults =
-        TransitionFaultList::from_faults(std::move(sub));
-    auto rows = shard_sims_[s]->detection_matrix(tests, shard_faults);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      matrix[shard.begin + i] = std::move(rows[i]);
-    }
-    FBT_OBS_COUNTER_ADD("fault.parallel_shards_graded", 1);
-  });
-  FBT_OBS_HIST_RECORD("fault.parallel_grade_duration_ms", grade_timer.ms());
-  return matrix;
-}
-
 std::uint64_t ParallelBroadsideFaultSim::footprint_bytes() const {
   std::uint64_t bytes =
       sizeof(*this) +

@@ -7,9 +7,10 @@
 // concurrent experiments multiplex one set of threads. Because detection of
 // one fault never depends on another fault's counts, merging the per-shard
 // results by shard index reproduces the serial engine bit for bit --
-// identical detect_count vectors, identical detection matrices, for any
-// shard count and any scheduler interleaving. The serial engine remains the
-// reference; one shard short-circuits to it.
+// identical detect_count vectors and provenance for any shard count and any
+// scheduler interleaving. The serial engine remains the reference; one shard
+// short-circuits to it. Detection matrices are built serially only
+// (BroadsideFaultSim::detection_matrix).
 #pragma once
 
 #include <cstdint>
@@ -52,11 +53,6 @@ class ParallelBroadsideFaultSim {
                     std::span<std::uint32_t> detect_count,
                     std::uint32_t detect_limit = 1,
                     GradeProvenance* provenance = nullptr);
-
-  /// Same contract as BroadsideFaultSim::detection_matrix, bit-identical
-  /// rows.
-  std::vector<std::vector<std::uint64_t>> detection_matrix(
-      std::span<const BroadsideTest> tests, const TransitionFaultList& faults);
 
   /// Bytes owned by the per-worker simulator replicas (resource telemetry).
   std::uint64_t footprint_bytes() const;

@@ -103,9 +103,9 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
 
   if (config.reduce_sequences && result.run.sequences.size() > 1) {
     // Map each test to its multi-segment sequence and drop sequences that
-    // detect nothing new (forward-looking fault simulation, §4.3/[89]).
-    // Only whole sequences may be dropped: segments within a sequence share
-    // one state trajectory.
+    // detect nothing the later sequences miss (reverse-order fault
+    // simulation with dropping, §4.3). Only whole sequences may be dropped:
+    // segments within a sequence share one state trajectory.
     std::vector<std::size_t> group_of;
     group_of.reserve(result.run.tests.size());
     for (std::size_t s = 0; s < result.run.sequences.size(); ++s) {

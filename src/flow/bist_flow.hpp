@@ -29,7 +29,7 @@ struct BistExperimentConfig {
   ScanConfig scan;
   /// §4.3's seed-set reduction: after construction, drop whole multi-segment
   /// sequences whose tests detect nothing the kept sequences miss
-  /// (forward-looking fault simulation over sequence groups).
+  /// (reverse-order fault simulation over sequence groups, last to first).
   bool reduce_sequences = true;
   /// Worker threads for every fault-grading step of the flow (candidate
   /// segments and sequence reduction). 0 = hardware concurrency; results are

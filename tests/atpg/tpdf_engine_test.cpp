@@ -40,6 +40,26 @@ TEST(TpdfEngine, ResolvesEveryS27Fault) {
   EXPECT_LE(report.detected, report.detectable_upper_bound);
 }
 
+TEST(TpdfEngine, ReproducesThePaperS27Row) {
+  // Tables 2.1 and 2.3, s27 row, exactly as bench_table2_1_3_5 prints it
+  // (same seed).
+  const Netlist nl = make_s27();
+  TpdfEngineConfig cfg;
+  cfg.rng_seed = 2024;
+  TpdfEngine engine(nl, cfg);
+  const TpdfRunReport report = engine.run(all_path_faults(nl));
+  // Table 2.1: faults / detected / undetectable / aborted.
+  EXPECT_EQ(report.num_faults, 56u);
+  EXPECT_EQ(report.detected, 25u);
+  EXPECT_EQ(report.undetectable, 31u);
+  EXPECT_EQ(report.aborted, 0u);
+  // Table 2.3: preprocessing bound / fault simulation / heuristic / B&B.
+  EXPECT_EQ(report.detectable_upper_bound, 25u);
+  EXPECT_EQ(report.detected_fsim, 19u);
+  EXPECT_EQ(report.detected_heuristic, 6u);
+  EXPECT_EQ(report.detected_bnb, 0u);
+}
+
 TEST(TpdfEngine, DetectedFaultsHaveVerifiedTests) {
   const Netlist nl = make_s27();
   const auto faults = all_path_faults(nl);

@@ -1,5 +1,7 @@
 #include "flow/bist_flow.hpp"
 
+#include <chrono>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -70,6 +72,33 @@ TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
   obs::PhaseTrace::instance().clear();
   const BistExperimentConfig cfg = small_experiment("s298", "buffers");
   jobs::JobSystem jobs(4);
+  // Which thread runs a graph node must not be steal timing. Park every
+  // worker, then queue one gate per worker deque ahead of the flow's tasks.
+  // The caller's helping wait steals from the first deque's front, so it
+  // runs a gate before any graph node; that gate releases the workers and
+  // holds the caller until every other task has run. The artifact graph
+  // (calibrate included) therefore runs on the workers.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::latch parked(static_cast<std::ptrdiff_t>(jobs.size()));
+  std::latch release(1);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs.submit([&] {
+      parked.count_down();
+      release.wait();
+    });
+  }
+  parked.wait();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs.submit([&] {
+      if (std::this_thread::get_id() != caller) return;
+      release.count_down();
+      for (;;) {
+        const jobs::SchedulerSnapshot snap = jobs.scheduler_snapshot();
+        if (snap.executed + 1 == snap.submitted) break;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  }
   (void)run_bist_experiment(cfg, jobs, ExperimentArtifacts{});
 
   const std::string json = obs::PhaseTrace::instance().chrome_trace_json();
@@ -97,9 +126,8 @@ TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
     }
   }
   EXPECT_TRUE(saw_experiment_span);
-  // Work actually spread across workers: more than one timeline row. (On a
-  // single-core machine the helping waiter may legitimately execute every
-  // task inline, so only assert when real parallelism is available.)
+  // Work actually spread across workers: more than one timeline row (the
+  // gates above make the workers run the artifact graph).
   if (std::thread::hardware_concurrency() > 1) EXPECT_GE(tids.size(), 2u);
   // Correct parent/child edges: every non-zero parent is a recorded span.
   for (const obs::JsonValue& event : doc.array) {
