@@ -1,9 +1,17 @@
 // Microbenchmarks (google-benchmark) for the simulation kernels that
-// dominate every experiment: bit-parallel evaluation, event-driven fault
-// propagation, scalar sequential stepping, cube simulation, and the on-chip
-// TPG. Also quantifies the bit-parallel vs scalar design decision called out
-// in DESIGN.md.
+// dominate every experiment: bit-parallel evaluation, scalar and 64-lane
+// sequential stepping (the three runners of the compiled gate program, on
+// s5378 and spi), event-driven fault propagation, cube simulation, and the
+// on-chip TPG. Also quantifies the bit-parallel vs scalar design decision
+// called out in DESIGN.md.
+//
+//   bench_kernels [--benchmark_filter=REGEX] [--benchmark_min_time=SECONDS]
+//                 [--benchmark_out=FILE --benchmark_out_format=json]
 #include <benchmark/benchmark.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "bist/lfsr.hpp"
 #include "bist/tpg.hpp"
@@ -11,18 +19,26 @@
 #include "fault/fault_sim.hpp"
 #include "sim/bitsim.hpp"
 #include "sim/cubesim.hpp"
+#include "sim/packed_seqsim.hpp"
 #include "sim/seqsim.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-const fbt::Netlist& circuit() {
-  static const fbt::Netlist nl = fbt::load_benchmark("s5378");
-  return nl;
+const fbt::Netlist& circuit(const char* name = "s5378") {
+  static std::map<std::string, fbt::Netlist> cache;
+  auto it = cache.find(name);
+  if (it == cache.end()) {
+    it = cache.emplace(name, fbt::load_benchmark(name)).first;
+  }
+  return it->second;
 }
 
-void BM_BitSimEval64(benchmark::State& state) {
-  const fbt::Netlist& nl = circuit();
+// The three gate-program kernels report gate-evals (one per combinational
+// gate per call, whatever the word width) as items processed, so their
+// items_per_second compare across circuits.
+void BM_BitSimEval64(benchmark::State& state, const char* name) {
+  const fbt::Netlist& nl = circuit(name);
   fbt::BitSim sim(nl);
   fbt::Pcg32 rng(1);
   for (const fbt::NodeId pi : nl.inputs()) sim.set_value(pi, rng.next64());
@@ -31,12 +47,13 @@ void BM_BitSimEval64(benchmark::State& state) {
     sim.eval();
     benchmark::DoNotOptimize(sim.value(nl.outputs()[0]));
   }
-  state.SetItemsProcessed(state.iterations() * 64);  // patterns per eval
+  state.SetItemsProcessed(state.iterations() * nl.num_gates());
 }
-BENCHMARK(BM_BitSimEval64);
+BENCHMARK_CAPTURE(BM_BitSimEval64, s5378, "s5378");
+BENCHMARK_CAPTURE(BM_BitSimEval64, spi, "spi");
 
-void BM_SeqSimStep(benchmark::State& state) {
-  const fbt::Netlist& nl = circuit();
+void BM_SeqSimStep(benchmark::State& state, const char* name) {
+  const fbt::Netlist& nl = circuit(name);
   fbt::SeqSim sim(nl);
   sim.load_reset_state();
   std::vector<std::uint8_t> pi(nl.num_inputs(), 0);
@@ -45,9 +62,29 @@ void BM_SeqSimStep(benchmark::State& state) {
     for (auto& b : pi) b = rng.chance(1, 2);
     benchmark::DoNotOptimize(sim.step(pi).toggled_lines);
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * nl.num_gates());
 }
-BENCHMARK(BM_SeqSimStep);
+BENCHMARK_CAPTURE(BM_SeqSimStep, s5378, "s5378");
+BENCHMARK_CAPTURE(BM_SeqSimStep, spi, "spi");
+
+void BM_PackedSeqSimStep(benchmark::State& state, const char* name) {
+  const fbt::Netlist& nl = circuit(name);
+  fbt::PackedSeqSim sim(nl);
+  const std::vector<std::uint8_t> reset(nl.num_flops(), 0);
+  sim.load_broadcast(reset, {}, {}, false);
+  std::vector<std::uint64_t> pi(nl.num_inputs(), 0);
+  std::vector<std::uint32_t> toggles(fbt::PackedSeqSim::kLanes, 0);
+  fbt::Pcg32 rng(5);
+  for (auto _ : state) {
+    for (auto& w : pi) w = rng.next64();
+    sim.step(pi, toggles);
+    benchmark::DoNotOptimize(toggles.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * nl.num_gates());
+}
+BENCHMARK_CAPTURE(BM_PackedSeqSimStep, s5378, "s5378");
+BENCHMARK_CAPTURE(BM_PackedSeqSimStep, spi, "spi");
 
 void BM_FaultPropagate(benchmark::State& state) {
   const fbt::Netlist& nl = circuit();

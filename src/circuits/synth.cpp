@@ -24,6 +24,8 @@ struct NameBuf {
   }
 };
 
+/// 10% one, 58% two, 24% three and 8% four fanins: a third of the gates
+/// are wider than two inputs, as in synthesized netlists.
 std::size_t pick_fanin_count(Pcg32& rng) {
   const std::uint32_t r = rng.below(100);
   if (r < 10) return 1;

@@ -18,6 +18,34 @@ std::uint64_t hash_name(std::string_view s) {
   return h;
 }
 
+// The one place gate types become truth tables: appends the ops of one
+// gate to `program` (see GateOp). Table bit (a << 1) | b; a chain applies the
+// non-inverting function and lets only its last op invert.
+void compile_gate(GateType type, NodeId out, std::span<const NodeId> fanins,
+                  std::vector<GateOp>& program) {
+  if (type == GateType::kConst0 || type == GateType::kConst1) {
+    program.push_back({out, out, out, type == GateType::kConst1 ? 0xFu : 0u});
+    return;
+  }
+  std::uint32_t tt = 0xC;  // a: BUF/NOT, and AND/OR/XOR of a single fanin
+  if (fanins.size() > 1) {
+    switch (type) {
+      case GateType::kAnd:
+      case GateType::kNand: tt = 0x8; break;
+      case GateType::kOr:
+      case GateType::kNor:  tt = 0xE; break;
+      default:              tt = 0x6; break;  // kXor / kXnor
+    }
+  }
+  NodeId a = fanins[0];
+  for (std::size_t k = fanins.size() == 1 ? 0 : 1; k < fanins.size(); ++k) {
+    const bool last = k + 1 == fanins.size();
+    program.push_back(
+        {out, a, fanins[k], last && inverts(type) ? ~tt & 0xFu : tt});
+    a = out;
+  }
+}
+
 }  // namespace
 
 void Netlist::check_mutable() const {
@@ -215,6 +243,15 @@ void Netlist::finalize() {
     if (types_[id] == GateType::kConst0) const0_nodes_.push_back(id);
     if (types_[id] == GateType::kConst1) const1_nodes_.push_back(id);
   }
+  std::size_t ops = const0_nodes_.size() + const1_nodes_.size();
+  for (const EvalEntry& e : eval_entries_) ops += e.count > 1 ? e.count - 1 : 1;
+  program_.reserve(ops);
+  const auto compile = [&](NodeId id) {
+    compile_gate(types_[id], id, fanins(id), program_);
+  };
+  std::for_each(const0_nodes_.begin(), const0_nodes_.end(), compile);
+  std::for_each(const1_nodes_.begin(), const1_nodes_.end(), compile);
+  std::for_each(eval_order_.begin(), eval_order_.end(), compile);
 
   finalized_ = true;
   FBT_OBS_GAUGE_SET("netlist.finalize_duration_ms", timer.ms());
@@ -248,6 +285,11 @@ std::span<const EvalEntry> Netlist::eval_entries() const {
   return eval_entries_;
 }
 
+std::span<const GateOp> Netlist::program() const {
+  require(finalized_, "Netlist::program", "netlist not finalized");
+  return program_;
+}
+
 std::uint64_t Netlist::arena_bytes() const {
   return types_.size() * sizeof(GateType) + output_flag_.size() +
          name_off_.size() * sizeof(std::uint32_t) + name_arena_.size() +
@@ -266,6 +308,7 @@ std::uint64_t Netlist::footprint_bytes() const {
   bytes += eval_entries_.size() * sizeof(EvalEntry);
   bytes += (eval_fanins_.size() + const0_nodes_.size() + const1_nodes_.size()) *
            sizeof(NodeId);
+  bytes += program_.size() * sizeof(GateOp);
   return bytes;
 }
 

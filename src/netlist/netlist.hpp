@@ -10,8 +10,9 @@
 // record. Each node is a row across flat columns -- a type byte, an
 // offset/length span into one shared name arena, and a fanin span in a CSR
 // built directly at add_gate time. Derived views (fanout CSR, topological
-// evaluation order, levels, and the eval-order fanin CSR the simulators walk)
-// are flat arrays built in a single counting-sort + Kahn pass at finalize().
+// evaluation order, levels, the eval-order fanin CSR, and the compiled gate
+// program the simulators run) are flat arrays built in a single
+// counting-sort + Kahn pass at finalize().
 // Name lookup goes through an open-addressing index of node ids (no
 // unordered_map, no per-key heap nodes, heterogeneous string_view lookup).
 //
@@ -52,6 +53,18 @@ struct EvalEntry {
   GateType type;
   std::uint32_t first;  ///< index into Netlist::eval_fanin_ids()
   std::uint32_t count;
+};
+
+/// One op of the compiled gate program (see Netlist::program()):
+/// values[out] = bit ((values[a] << 1) | values[b]) of the 4-bit table `tt`.
+/// A gate with k >= 2 fanins compiles to a chain of k - 1 ops that
+/// accumulate in its own output slot (every op after the first has a == out),
+/// so the chain needs no temporary nodes.
+struct GateOp {
+  NodeId out;
+  NodeId a;
+  NodeId b;
+  std::uint32_t tt;
 };
 
 class Netlist {
@@ -149,6 +162,13 @@ class Netlist {
   std::span<const NodeId> const0_nodes() const { return const0_nodes_; }
   std::span<const NodeId> const1_nodes() const { return const1_nodes_; }
 
+  /// Compiled gate program every two-valued simulator runs: the constants
+  /// first (their ops ignore the operands), then each eval_order() gate as
+  /// one op (one-input gates duplicate their fanin) or a chain of k - 1 ops
+  /// (k fanins). Ops write only netlist nodes, so running the program over a
+  /// size()-entry value array settles every combinational node and constant.
+  std::span<const GateOp> program() const;
+
   /// Number of circuit lines used for switching-activity percentages. Every
   /// node is one line (the dissertation counts gate outputs, inputs, and
   /// state variables).
@@ -209,6 +229,7 @@ class Netlist {
   std::vector<NodeId> eval_fanins_;
   std::vector<NodeId> const0_nodes_;
   std::vector<NodeId> const1_nodes_;
+  std::vector<GateOp> program_;
 };
 
 }  // namespace fbt

@@ -1,5 +1,7 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "obs/json.hpp"
@@ -16,10 +18,60 @@ double num_or(const obs::JsonValue& obj, const std::string& key,
   return v != nullptr ? v->as_number(fallback) : fallback;
 }
 
+// Negative, NaN and out-of-range numbers saturate to the largest value, so
+// the caps in check_config() reject them instead of a cast being undefined.
 std::uint64_t uint_or(const obs::JsonValue& obj, const std::string& key,
                       std::uint64_t fallback) {
-  return static_cast<std::uint64_t>(
-      num_or(obj, key, static_cast<double>(fallback)));
+  const double v = num_or(obj, key, static_cast<double>(fallback));
+  if (!(v >= 0.0 && v < 18446744073709551616.0)) return UINT64_MAX;
+  return static_cast<std::uint64_t>(v);
+}
+
+unsigned u32_or(const obs::JsonValue& obj, const std::string& key,
+               unsigned fallback) {
+  return static_cast<unsigned>(
+      std::min<std::uint64_t>(uint_or(obj, key, fallback), UINT32_MAX));
+}
+
+// Work caps of one experiment request: far above any configuration the
+// benches and the dissertation use (30 sequences of 30000 cycles), far below
+// what would pin a worker for hours or exhaust memory.
+constexpr std::uint64_t kMaxCycles = std::uint64_t{1} << 20;
+constexpr std::uint64_t kMaxSequences = std::uint64_t{1} << 12;
+constexpr unsigned kMinLfsrStages = 2;   // Lfsr::primitive_taps table
+constexpr unsigned kMaxLfsrStages = 32;
+constexpr unsigned kMaxBiasBits = 32;
+
+/// Empty when `cfg` is within the caps, else the error message.
+std::string check_config(const BistExperimentConfig& cfg) {
+  const std::uint64_t segment = cfg.generation.segment_length;
+  if (segment < 2 || segment % 2 != 0 || segment > kMaxCycles) {
+    return "segment_length must be even, at least 2 and at most " +
+           std::to_string(kMaxCycles);
+  }
+  if (cfg.calibration.sequence_length > kMaxCycles) {
+    return "cal_length must be at most " + std::to_string(kMaxCycles);
+  }
+  if (cfg.calibration.num_sequences > kMaxSequences ||
+      cfg.generation.max_segment_failures > kMaxSequences ||
+      cfg.generation.max_sequence_failures > kMaxSequences) {
+    return "cal_sequences, max_segment_failures and max_sequence_failures "
+           "must be at most " + std::to_string(kMaxSequences);
+  }
+  for (const unsigned stages :
+       {cfg.calibration.tpg.lfsr_stages, cfg.generation.tpg.lfsr_stages,
+        cfg.rtl_misr_stages}) {
+    if (stages < kMinLfsrStages || stages > kMaxLfsrStages) {
+      return "LFSR and MISR stage counts must lie in [" +
+             std::to_string(kMinLfsrStages) + ", " +
+             std::to_string(kMaxLfsrStages) + "]";
+    }
+  }
+  if (cfg.calibration.tpg.bias_bits > kMaxBiasBits ||
+      cfg.generation.tpg.bias_bits > kMaxBiasBits) {
+    return "bias_bits must be at most " + std::to_string(kMaxBiasBits);
+  }
+  return {};
 }
 
 bool bool_or(const obs::JsonValue& obj, const std::string& key,
@@ -99,14 +151,14 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
         uint_or(o, "cal_length", cfg.calibration.sequence_length);
     cfg.calibration.rng_seed =
         uint_or(o, "cal_rng_seed", cfg.calibration.rng_seed);
-    cfg.calibration.tpg.lfsr_stages = static_cast<unsigned>(
-        uint_or(o, "cal_lfsr_stages", cfg.calibration.tpg.lfsr_stages));
-    cfg.calibration.tpg.bias_bits = static_cast<unsigned>(
-        uint_or(o, "cal_bias_bits", cfg.calibration.tpg.bias_bits));
-    cfg.generation.tpg.lfsr_stages = static_cast<unsigned>(
-        uint_or(o, "tpg_lfsr_stages", cfg.generation.tpg.lfsr_stages));
-    cfg.generation.tpg.bias_bits = static_cast<unsigned>(
-        uint_or(o, "tpg_bias_bits", cfg.generation.tpg.bias_bits));
+    cfg.calibration.tpg.lfsr_stages =
+        u32_or(o, "cal_lfsr_stages", cfg.calibration.tpg.lfsr_stages);
+    cfg.calibration.tpg.bias_bits =
+        u32_or(o, "cal_bias_bits", cfg.calibration.tpg.bias_bits);
+    cfg.generation.tpg.lfsr_stages =
+        u32_or(o, "tpg_lfsr_stages", cfg.generation.tpg.lfsr_stages);
+    cfg.generation.tpg.bias_bits =
+        u32_or(o, "tpg_bias_bits", cfg.generation.tpg.bias_bits);
     cfg.generation.segment_length =
         uint_or(o, "segment_length", cfg.generation.segment_length);
     cfg.generation.max_segment_failures = uint_or(
@@ -114,8 +166,8 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     cfg.generation.max_sequence_failures = uint_or(
         o, "max_sequence_failures", cfg.generation.max_sequence_failures);
     cfg.generation.rng_seed = uint_or(o, "rng_seed", cfg.generation.rng_seed);
-    cfg.generation.detect_limit = static_cast<std::uint32_t>(
-        uint_or(o, "detect_limit", cfg.generation.detect_limit));
+    cfg.generation.detect_limit =
+        u32_or(o, "detect_limit", cfg.generation.detect_limit);
     cfg.scan.max_chains = uint_or(o, "scan_max_chains", cfg.scan.max_chains);
     cfg.scan.min_chain_length =
         uint_or(o, "scan_min_chain_length", cfg.scan.min_chain_length);
@@ -127,10 +179,10 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     cfg.fault_pack_width =
         uint_or(o, "fault_pack_width", cfg.fault_pack_width);
     cfg.emit_rtl = bool_or(o, "emit_rtl", cfg.emit_rtl);
-    cfg.rtl_misr_stages = static_cast<unsigned>(
-        uint_or(o, "rtl_misr_stages", cfg.rtl_misr_stages));
+    cfg.rtl_misr_stages = u32_or(o, "rtl_misr_stages", cfg.rtl_misr_stages);
   }
-  return true;
+  error = check_config(cfg);
+  return error.empty();
 }
 
 std::string hash_detect_counts(const std::vector<std::uint32_t>& counts) {

@@ -53,7 +53,10 @@ struct Request {
 };
 
 /// Parses one request line. Returns false and fills `error` on malformed
-/// input (unknown type, bad JSON, missing target). Config fields absent
+/// input (unknown type, bad JSON, missing target) and on a config outside
+/// the fixed work caps: an odd segment_length or one below 2, LFSR/MISR
+/// stages outside the primitive-polynomial table, or bias bits, cycle,
+/// sequence or failure counts above a constant cap. Config fields absent
 /// from the request keep BistExperimentConfig defaults.
 bool parse_request(const std::string& line, Request& out, std::string& error);
 

@@ -448,9 +448,11 @@ void SocketServer::handle_connection(int fd) {
   while (keep_serving && !stop_.load(std::memory_order_acquire)) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n <= 0) break;
+    // Bytes already buffered hold no newline; scan only the new chunk.
+    const std::size_t scanned = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
+    for (std::size_t nl = buffer.find('\n', scanned);
          nl != std::string::npos && keep_serving;
          nl = buffer.find('\n', start)) {
       const std::string line = buffer.substr(start, nl - start);
@@ -459,6 +461,11 @@ void SocketServer::handle_connection(int fd) {
       keep_serving = service_.handle_line(line, emit);
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxLineBytes) {
+      emit(render_error("", "request line exceeds " +
+                                std::to_string(kMaxLineBytes) + " bytes"));
+      break;
+    }
   }
   ::close(fd);
   if (!keep_serving) request_stop();

@@ -101,6 +101,10 @@ class ExperimentService {
 /// Blocking AF_UNIX NDJSON server: accept loop + one thread per connection.
 class SocketServer {
  public:
+  /// Longest request line a connection may send (inline netlists included).
+  /// A longer one is answered with an error line and the connection closed.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
+
   SocketServer(ExperimentService& service, std::string socket_path);
   ~SocketServer();
 

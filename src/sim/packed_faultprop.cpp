@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "sim/gate_program.hpp"
 #include "util/require.hpp"
 
 namespace fbt {
@@ -15,64 +16,43 @@ PackedFaultProp::PackedFaultProp(const Netlist& netlist,
   require(netlist.finalized(), "PackedFaultProp", "netlist must be finalized");
   const std::size_t n = netlist.size();
 
-  // Level-major renumbering (stable within a (level, type) class, so the
-  // layout is deterministic): along any combinational path levels strictly
-  // increase, hence internal ids do too, and one forward scan of the
-  // frontier bitmap drains events in topological order. Within a level,
-  // nodes of one gate type are contiguous, so the eval switch sees runs of
-  // the same case as the scan pops a level's events.
+  // Level-major renumbering (stable within a (level, fanin count) class, so
+  // the layout is deterministic): along any combinational path levels
+  // strictly increase, hence internal ids do too, and one forward scan of
+  // the frontier bitmap drains events in topological order. Within a level,
+  // gates of one chain length are contiguous, so the chain loop's trip count
+  // repeats as the scan pops a level's events.
   perm_.resize(n);
   std::iota(perm_.begin(), perm_.end(), NodeId{0});
   std::stable_sort(perm_.begin(), perm_.end(), [&](NodeId a, NodeId b) {
     const std::uint32_t la = netlist.level(a);
     const std::uint32_t lb = netlist.level(b);
     if (la != lb) return la < lb;
-    return netlist.type(a) < netlist.type(b);
+    return netlist.fanins(a).size() < netlist.fanins(b).size();
   });
   inv_.resize(n);
   for (std::size_t i = 0; i < n; ++i) inv_[perm_[i]] = static_cast<NodeId>(i);
 
-  // Two-input truth table per gate type, bit (a << 1) | b. One-input gates
-  // are folded into the two-input path with a duplicated fanin: only the
-  // a == b entries are reachable, so AND passes through and NAND inverts,
-  // matching eval_gate64's degenerate one-input semantics (NOT/NAND/NOR/
-  // XNOR invert, the rest pass).
-  const auto gate_tt = [](GateType type, std::size_t count) -> std::uint8_t {
-    if (count == 1) {
-      return (type == GateType::kNot || type == GateType::kNand ||
-              type == GateType::kNor || type == GateType::kXnor)
-                 ? 0b0111
-                 : 0b1000;
-    }
-    switch (type) {
-      case GateType::kAnd:  return 0b1000;
-      case GateType::kNand: return 0b0111;
-      case GateType::kOr:   return 0b1110;
-      case GateType::kNor:  return 0b0001;
-      case GateType::kXor:  return 0b0110;
-      default:              return 0b1001;  // kXnor
-    }
-  };
+  // Per-node records from the compiled gate program: a gate's first op goes
+  // inline, the rest of a wide gate's chain (ops whose a-operand is the gate
+  // itself) into chain_.
   nodes_.assign(n, Node{});
-  fanin_ids_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const NodeId old = perm_[i];
-    const GateType type = netlist.type(old);
-    const auto fanins = netlist.fanins(old);
-    require(fanins.size() <= 0xFFFF, "PackedFaultProp",
-            "fanin count must fit 16 bits");
-    Node& m = nodes_[i];
-    if (fanins.size() == 1 || fanins.size() == 2) {
-      m.count = 2;
-      m.tt = gate_tt(type, fanins.size());
-      m.fan0 = inv_[fanins[0]];
-      m.fan1 = inv_[fanins.back()];
+  chain_.clear();
+  NodeId prev = kNoNode;
+  for (const GateOp& op : flat_->program()) {
+    Node& m = nodes_[inv_[op.out]];
+    if (op.out != prev) {
+      m.fan0 = inv_[op.a];
+      m.fan1 = inv_[op.b];
+      m.tt = static_cast<std::uint8_t>(op.tt);
+      m.first = static_cast<std::uint32_t>(chain_.size());
     } else {
-      m.count = static_cast<std::uint16_t>(fanins.size());
-      m.tt = static_cast<std::uint8_t>(type);
-      m.first = static_cast<std::uint32_t>(fanin_ids_.size());
-      for (const NodeId f : fanins) fanin_ids_.push_back(inv_[f]);
+      require(m.count < 0xFFFF, "PackedFaultProp",
+              "fanin count must fit 16 bits");
+      chain_.push_back({inv_[op.b], op.tt});
+      ++m.count;
     }
+    prev = op.out;
   }
   for (const NodeId po : netlist.outputs()) nodes_[inv_[po]].observe = 1;
   for (const NodeId ff : netlist.flops()) {
@@ -230,47 +210,11 @@ std::uint64_t PackedFaultProp::propagate_internal(std::span<const NodeId> sites,
       const NodeId id = static_cast<NodeId>((wi << 6) | b);
       ++evals;
       Node& m = nodes_[id];
-      std::uint64_t out;
-      if (m.count == 2) {
-        // One- and two-input gates dominate synthesized netlists (one-input
-        // gates were folded in at construction); evaluate them with a
-        // branchless truth-table mux -- gate types are data-dependent, so a
-        // switch here is an unpredictable indirect branch on the hot path.
-        const std::uint64_t a = faulty(m.fan0);
-        const std::uint64_t b2 = faulty(m.fan1);
-        const std::uint64_t t0 = 0 - static_cast<std::uint64_t>(m.tt & 1);
-        const std::uint64_t t1 =
-            0 - static_cast<std::uint64_t>((m.tt >> 1) & 1);
-        const std::uint64_t t2 =
-            0 - static_cast<std::uint64_t>((m.tt >> 2) & 1);
-        const std::uint64_t t3 =
-            0 - static_cast<std::uint64_t>((m.tt >> 3) & 1);
-        const std::uint64_t lo = t0 ^ ((t0 ^ t1) & b2);  // a = 0 row
-        const std::uint64_t hi = t2 ^ ((t2 ^ t3) & b2);  // a = 1 row
-        out = lo ^ ((lo ^ hi) & a);
-      } else {
-        const GateType type = static_cast<GateType>(m.tt);
-        const NodeId* fan = fanin_ids_.data() + m.first;
-        std::uint64_t acc;
-        switch (type) {
-          case GateType::kAnd:
-          case GateType::kNand:
-            acc = ~0ULL;
-            for (std::uint16_t k = 0; k < m.count; ++k) acc &= faulty(fan[k]);
-            out = type == GateType::kAnd ? acc : ~acc;
-            break;
-          case GateType::kOr:
-          case GateType::kNor:
-            acc = 0;
-            for (std::uint16_t k = 0; k < m.count; ++k) acc |= faulty(fan[k]);
-            out = type == GateType::kOr ? acc : ~acc;
-            break;
-          default:  // kXor / kXnor
-            acc = 0;
-            for (std::uint16_t k = 0; k < m.count; ++k) acc ^= faulty(fan[k]);
-            out = type == GateType::kXor ? acc : ~acc;
-            break;
-        }
+      std::uint64_t out =
+          apply_table<std::uint64_t>(m.tt, faulty(m.fan0), faulty(m.fan1));
+      const ChainOp* op = chain_.data() + m.first;
+      for (std::uint16_t k = 0; k < m.count; ++k, ++op) {
+        out = apply_table<std::uint64_t>(op->tt, out, faulty(op->b));
       }
       std::uint64_t d = out ^ (0 - ((m.good >> test) & 1ULL));
       // A fault site inside another lane's cone stays stuck in its own lane
@@ -313,8 +257,8 @@ std::uint64_t PackedFaultProp::footprint_bytes() const {
          nodes_.size() * sizeof(Node) +
          (inject_.size() + frontier_bits_.size() + site_bits_.size()) *
              sizeof(std::uint64_t) +
-         (perm_.size() + inv_.size() + fanin_ids_.size() + touched_.size() +
-          fanout_ids_.size()) *
+         chain_.size() * sizeof(ChainOp) +
+         (perm_.size() + inv_.size() + touched_.size() + fanout_ids_.size()) *
              sizeof(NodeId) +
          fanout_first_.size() * sizeof(std::uint32_t);
 }

@@ -21,11 +21,13 @@
 // along any path and a single forward ctz scan drains events in topological
 // order. An event push is one OR into the L1-resident bitmap (reconvergent
 // duplicates merge for free) and cone-adjacent nodes share cache lines in
-// the per-node record array. The fanin gather touches one 32-byte record per
-// fanin (topology, good word, diff word) and is branchless: diff words of untouched
-// nodes are kept at zero by resetting each propagation's touched set before
-// returning (while those lines are still cache-hot), so
-// faulty = broadcast(good bit) XOR diff unconditionally.
+// the per-node record array. Gates evaluate with the netlist's compiled gate
+// program (sim/gate_program.hpp), the same truth-table ops every simulator
+// runs. The fanin gather touches one 32-byte record per fanin (topology,
+// good word, diff word) and is branchless: diff words of untouched nodes are
+// kept at zero by resetting each propagation's touched set before returning
+// (while those lines are still cache-hot), so faulty = broadcast(good bit)
+// XOR diff unconditionally.
 #pragma once
 
 #include <cstdint>
@@ -84,27 +86,30 @@ class PackedFaultProp {
  private:
   /// Per-node record: gate metadata and the lane words, together in one
   /// 32-byte (half cache line) struct so evaluating a node touches a single
-  /// line. One-input gates are rewritten at construction as two-input gates
-  /// with a duplicated fanin, so the two-input fast path (a branchless
-  /// 4-entry truth-table mux keyed by `tt`) covers every node a synthesized
-  /// netlist is made of, and its fanin ids live inline -- the gather issues
-  /// both lane loads straight off this one record instead of bouncing
-  /// through a CSR body first. Gates with more than two fanins fall back to
-  /// a span in fanin_ids_ and `tt` holds the GateType for the generic
-  /// accumulate loop. diff is zero for every node outside the running
-  /// propagation's touched set (reset on every exit path via touched_), so
-  /// the fanin gather needs no validity branch.
+  /// line. The gate's first op of the compiled gate program lives inline
+  /// (`tt` over `fan0`, `fan1`), so a gate with at most two fanins -- one-
+  /// input gates duplicate their fanin -- needs no other memory. A wider
+  /// gate's remaining `count` chain ops fold one more fanin each into the
+  /// accumulated word and sit at chain_[first ...]. diff is zero for every
+  /// node outside the running propagation's touched set (reset on every exit
+  /// path via touched_), so the fanin gather needs no validity branch.
   struct Node {
-    NodeId fan0 = 0;           ///< count==2: first fanin (internal id)
-    NodeId fan1 = 0;           ///< count==2: second fanin (internal id)
-    std::uint32_t first = 0;   ///< count>2: fanin span start in fanin_ids_
-    std::uint16_t count = 0;   ///< fanin count (0: source; 1 folded into 2)
-    std::uint8_t tt = 0;       ///< count==2: truth table; else GateType
+    NodeId fan0 = 0;           ///< first op's a-operand (internal id)
+    NodeId fan1 = 0;           ///< first op's b-operand (internal id)
+    std::uint32_t first = 0;   ///< chain start in chain_
+    std::uint16_t count = 0;   ///< chain ops after the first (fanins - 2)
+    std::uint8_t tt = 0;       ///< first op's truth table
     std::uint8_t observe = 0;  ///< PO or flop D input
     std::uint64_t good = 0;    ///< fault-free word of the bound block
     std::uint64_t diff = 0;    ///< faulty XOR good; zero when untouched
   };
   static_assert(sizeof(Node) == 32);
+
+  /// A wide gate's chain op after the first: acc = tt(acc, faulty(b)).
+  struct ChainOp {
+    NodeId b = 0;           ///< internal id
+    std::uint32_t tt = 0;
+  };
 
   const Netlist* netlist_;
   std::shared_ptr<const FlatFanins> flat_;  ///< immutable, possibly shared
@@ -116,7 +121,7 @@ class PackedFaultProp {
   std::vector<NodeId> inv_;
 
   std::vector<Node> nodes_;          ///< per-node records (level-major)
-  std::vector<NodeId> fanin_ids_;    ///< >2-input fanin spans (internal ids)
+  std::vector<ChainOp> chain_;       ///< wide gates' chain tails
   std::vector<NodeId> touched_;      ///< nodes whose diff is nonzero
 
   // Combinational-only fanout CSR: fanout_ids_[fanout_first_[id] ..

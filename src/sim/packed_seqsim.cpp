@@ -4,7 +4,7 @@
 #include <bit>
 
 #include "obs/instrument.hpp"
-#include "sim/value.hpp"
+#include "sim/gate_program.hpp"
 #include "util/require.hpp"
 
 namespace fbt {
@@ -18,7 +18,7 @@ inline std::uint64_t broadcast_bit(std::uint8_t v) {
 }  // namespace
 
 PackedSeqSim::PackedSeqSim(const Netlist& netlist)
-    : netlist_(&netlist), flat_(netlist) {
+    : netlist_(&netlist) {
   require(netlist.finalized(), "PackedSeqSim", "netlist must be finalized");
   values_.assign(netlist.size(), 0);
   prev_values_.assign(netlist.size(), 0);
@@ -65,21 +65,13 @@ void PackedSeqSim::step(std::span<const std::uint64_t> pi_words,
   for (std::size_t i = 0; i < state_.size(); ++i) {
     values_[netlist_->flops()[i]] = state_[i];
   }
-  for (const NodeId id : flat_.const0_nodes()) values_[id] = 0;
-  for (const NodeId id : flat_.const1_nodes()) values_[id] = ~0ULL;
 
-  // Settle combinational logic, all 64 lanes per word operation.
-  {
-    const NodeId* ids = flat_.fanin_ids();
-    std::uint64_t* vals = values_.data();
-    for (const FlatFanins::Entry& e : flat_.entries()) {
-      vals[e.node] = eval_gate64_indexed(e.type, ids + e.first, e.count, vals);
-    }
+  // Settle combinational logic and constants, all 64 lanes per word op.
+  run_program(netlist_->program(), values_.data());
 #if FBT_OBS_ENABLED
-    gates_evaluated_.add(flat_.entries().size());
-    cycles_stepped_.add(1);
+  gates_evaluated_.add(netlist_->num_gates());
+  cycles_stepped_.add(1);
 #endif
-  }
 
   // Per-lane switching activity via carry-save vertical counters: add each
   // node's transition word (one bit per lane) into the bit planes, then read

@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "netlist/flat_fanins.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 
@@ -55,10 +54,9 @@ class PackedSeqSim {
   bool have_prev() const { return have_prev_; }
   std::size_t num_lines() const { return netlist_->num_lines(); }
 
-  /// Bytes owned by the flattened fanin view and packed lane words
-  /// (resource telemetry).
+  /// Bytes owned by the packed lane words (resource telemetry).
   std::uint64_t footprint_bytes() const {
-    return sizeof(*this) - sizeof(flat_) + flat_.footprint_bytes() +
+    return sizeof(*this) +
            (values_.size() + prev_values_.size() + state_.size() +
             planes_.size()) *
                sizeof(std::uint64_t);
@@ -66,7 +64,6 @@ class PackedSeqSim {
 
  private:
   const Netlist* netlist_;
-  FlatFanins flat_;
   std::vector<std::uint64_t> values_;       // packed settled values, current
   std::vector<std::uint64_t> prev_values_;  // packed settled values, previous
   std::vector<std::uint64_t> state_;        // packed per-flop state

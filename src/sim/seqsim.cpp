@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "obs/instrument.hpp"
-#include "sim/value.hpp"
+#include "sim/gate_program.hpp"
 #include "util/require.hpp"
 
 namespace fbt {
@@ -50,21 +50,13 @@ SeqStep SeqSim::step(std::span<const std::uint8_t> pi_values,
   for (std::size_t i = 0; i < state_.size(); ++i) {
     values_[netlist_->flops()[i]] = state_[i];
   }
-  for (const NodeId id : flat_->const0_nodes()) values_[id] = 0;
-  for (const NodeId id : flat_->const1_nodes()) values_[id] = 1;
 
-  // Settle combinational logic.
-  {
-    const NodeId* ids = flat_->fanin_ids();
-    std::uint8_t* vals = values_.data();
-    for (const FlatFanins::Entry& e : flat_->entries()) {
-      vals[e.node] = eval_gate2_indexed(e.type, ids + e.first, e.count, vals);
-    }
+  // Settle combinational logic and constants.
+  run_program(flat_->program(), values_.data());
 #if FBT_OBS_ENABLED
-    gates_evaluated_.add(flat_->entries().size());
-    cycles_stepped_.add(1);
+  gates_evaluated_.add(flat_->entries().size());
+  cycles_stepped_.add(1);
 #endif
-  }
 
   // Switching activity vs. the previous settled cycle.
   SeqStep result;

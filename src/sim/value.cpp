@@ -125,80 +125,6 @@ std::uint64_t eval_gate64(GateType type,
   throw Error("eval_gate64: sources have no combinational function");
 }
 
-std::uint8_t eval_gate2_indexed(GateType type, const std::uint32_t* fanin_ids,
-                                std::size_t count,
-                                const std::uint8_t* values) {
-  switch (type) {
-    case GateType::kConst0:
-      return 0;
-    case GateType::kConst1:
-      return 1;
-    case GateType::kBuf:
-      return values[fanin_ids[0]];
-    case GateType::kNot:
-      return values[fanin_ids[0]] ^ 1u;
-    case GateType::kAnd:
-    case GateType::kNand: {
-      std::uint8_t acc = 1;
-      for (std::size_t i = 0; i < count; ++i) acc &= values[fanin_ids[i]];
-      return type == GateType::kAnd ? acc : acc ^ 1u;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      std::uint8_t acc = 0;
-      for (std::size_t i = 0; i < count; ++i) acc |= values[fanin_ids[i]];
-      return type == GateType::kOr ? acc : acc ^ 1u;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      std::uint8_t acc = 0;
-      for (std::size_t i = 0; i < count; ++i) acc ^= values[fanin_ids[i]];
-      return type == GateType::kXor ? acc : acc ^ 1u;
-    }
-    case GateType::kInput:
-    case GateType::kDff:
-      break;
-  }
-  throw Error("eval_gate2_indexed: sources have no combinational function");
-}
-
-std::uint64_t eval_gate64_indexed(GateType type, const std::uint32_t* fanin_ids,
-                                  std::size_t count,
-                                  const std::uint64_t* values) {
-  switch (type) {
-    case GateType::kConst0:
-      return 0;
-    case GateType::kConst1:
-      return ~0ULL;
-    case GateType::kBuf:
-      return values[fanin_ids[0]];
-    case GateType::kNot:
-      return ~values[fanin_ids[0]];
-    case GateType::kAnd:
-    case GateType::kNand: {
-      std::uint64_t acc = ~0ULL;
-      for (std::size_t i = 0; i < count; ++i) acc &= values[fanin_ids[i]];
-      return type == GateType::kAnd ? acc : ~acc;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < count; ++i) acc |= values[fanin_ids[i]];
-      return type == GateType::kOr ? acc : ~acc;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      std::uint64_t acc = 0;
-      for (std::size_t i = 0; i < count; ++i) acc ^= values[fanin_ids[i]];
-      return type == GateType::kXor ? acc : ~acc;
-    }
-    case GateType::kInput:
-    case GateType::kDff:
-      break;
-  }
-  throw Error("eval_gate64_indexed: sources have no combinational function");
-}
-
 Val3 eval_gate3_indexed(GateType type, const std::uint32_t* fanin_ids,
                         std::size_t count, const Val3* values) {
   switch (type) {

@@ -25,14 +25,10 @@ std::uint8_t eval_gate2(GateType type, std::span<const std::uint8_t> fanins);
 /// Evaluates one gate over 64 patterns packed in std::uint64_t words.
 std::uint64_t eval_gate64(GateType type, std::span<const std::uint64_t> fanins);
 
-// Indexed variants for hot loops (fanin values gathered through an id array,
-// avoiding a per-gate temporary).
-std::uint8_t eval_gate2_indexed(GateType type, const std::uint32_t* fanin_ids,
-                                std::size_t count, const std::uint8_t* values);
+/// eval_gate3 over fanin values gathered through an id array (the
+/// three-valued hot loops; the two-valued simulators run the compiled gate
+/// program of sim/gate_program.hpp instead).
 Val3 eval_gate3_indexed(GateType type, const std::uint32_t* fanin_ids,
                         std::size_t count, const Val3* values);
-std::uint64_t eval_gate64_indexed(GateType type, const std::uint32_t* fanin_ids,
-                                  std::size_t count,
-                                  const std::uint64_t* values);
 
 }  // namespace fbt

@@ -151,7 +151,8 @@ TEST(ArenaSmoke, MillionGateBuildStaysWithinByteBudget) {
   EXPECT_EQ(nl.num_gates(), params.num_gates);
   // Pinned storage budget: the SoA arena (types, interned names, fanin CSR,
   // name index) runs ~37 bytes/gate and the full structure including the
-  // fanout/eval CSRs, levels, and eval order ~85 bytes/gate at this size.
+  // fanout/eval CSRs, the compiled gate program, levels, and eval order
+  // ~107 bytes/gate at this size.
   // The old per-gate-record layout was ~161 bytes/gate; the bound sits far
   // from both so only a real layout regression trips it.
   const double arena_per_gate = static_cast<double>(nl.arena_bytes()) /

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -296,6 +301,126 @@ TEST(ExperimentService, InlineNetlistSharesKeyWithTextualVariant) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(hash_detect_counts(cold.detect_count),
             hash_detect_counts(warm.detect_count));
+}
+
+TEST(ExperimentService, ConfigOutsideTheWorkCapsIsAnErrorAndServingContinues) {
+  Fixture fx;
+  std::vector<std::string> lines;
+  const auto emit = [&lines](const std::string& l) { lines.push_back(l); };
+  const char* absurd[] = {
+      R"("segment_length": 201)",          R"("segment_length": 0)",
+      R"("segment_length": -4)",           R"("segment_length": 1e300)",
+      R"("cal_length": 1e12)",             R"("cal_sequences": 1e9)",
+      R"("max_sequence_failures": 1e15)",  R"("tpg_lfsr_stages": 1)",
+      R"("cal_lfsr_stages": 33)",          R"("tpg_lfsr_stages": 4294967298)",
+      R"("rtl_misr_stages": 0)",           R"("tpg_bias_bits": 1e9)",
+  };
+  for (const char* field : absurd) {
+    lines.clear();
+    EXPECT_TRUE(fx.service.handle_line(
+        std::string(R"({"type": "experiment", "id": "a", "target": "s298", )"
+                    R"("config": {)") + field + "}}",
+        emit))
+        << field;
+    ASSERT_EQ(lines.size(), 1u) << field;
+    EXPECT_NE(lines[0].find("\"type\": \"error\""), std::string::npos)
+        << field;
+  }
+  lines.clear();
+  EXPECT_TRUE(fx.service.handle_line(R"({"type": "ping", "id": "p"})", emit));
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"type\": \"pong\""), std::string::npos);
+}
+
+TEST(ExperimentService, SweepConfigsStayWithinTheWorkCaps) {
+  // The flow_smoke config a sweeping client sends, and the embedded-block
+  // variant with L = 100.
+  for (const char* segment : {"200", "100"}) {
+    Request request;
+    std::string error;
+    const std::string line =
+        std::string(R"({"type":"experiment","id":"r0","target":"s298",)"
+                    R"("driver":"buffers","stream_progress":false,"config":)"
+                    R"({"cal_sequences":4,"cal_length":400,"segment_length":)") +
+        segment +
+        R"(,"max_segment_failures":2,"max_sequence_failures":2,)"
+        R"("rng_seed":2147483647}})";
+    ASSERT_TRUE(parse_request(line, request, error)) << error;
+    EXPECT_EQ(request.experiment.config.generation.segment_length,
+              std::stoul(segment));
+    EXPECT_EQ(request.experiment.config.generation.rng_seed, 2147483647u);
+  }
+}
+
+int connect_unix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                           sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool send_all(int fd, const std::string& data) {
+  for (std::size_t sent = 0; sent < data.size();) {
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Everything the server sends until it closes the connection.
+std::string recv_until_eof(int fd) {
+  std::string out;
+  char chunk[4096];
+  for (ssize_t n; (n = ::recv(fd, chunk, sizeof chunk, 0)) > 0;) {
+    out.append(chunk, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+TEST(SocketServer, OverLongLineIsRefusedAndTheDaemonKeepsServing) {
+  Fixture fx;
+  const std::string path =
+      ::testing::TempDir() + "fbt_serve_test_" + std::to_string(::getpid());
+  SocketServer server(fx.service, path);
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  // Stops and joins the accept loop on every exit path, failed asserts too.
+  struct AcceptLoop {
+    SocketServer& server;
+    std::thread thread{[this] { server.serve_forever(); }};
+    ~AcceptLoop() {
+      server.request_stop();
+      thread.join();
+    }
+  } accept_loop{server};
+
+  // One byte over the cap, with no newline: an error line, then EOF.
+  const int big = connect_unix(path);
+  ASSERT_GE(big, 0);
+  EXPECT_TRUE(send_all(big, std::string(SocketServer::kMaxLineBytes + 1, 'x')));
+  const std::string reply = recv_until_eof(big);
+  ::close(big);
+  EXPECT_NE(reply.find("\"type\": \"error\""), std::string::npos);
+  EXPECT_NE(reply.find("exceeds"), std::string::npos);
+
+  // A fresh connection is served as usual.
+  const int fd = connect_unix(path);
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(send_all(fd, "{\"type\": \"ping\", \"id\": \"after\"}\n"));
+  ::shutdown(fd, SHUT_WR);
+  const std::string pong = recv_until_eof(fd);
+  ::close(fd);
+  EXPECT_NE(pong.find("\"type\": \"pong\""), std::string::npos);
+
+  ::unlink(path.c_str());
 }
 
 }  // namespace
