@@ -3,15 +3,15 @@
 // Grades the same random broadside test set against the full collapsed fault
 // list with the serial engine (one fault at a time, 64 tests per word) and
 // with the PPSFP engine at pack widths 8 and 64 (up to 64 faults per word
-// against the shared good-machine trace), single-threaded and composed with
-// thread sharding -- verifying bit-identical detect counts and first-detect
-// provenance at every configuration. The realistic grade mode (fault
-// dropping at --detect-limit, default 1) is the gated measurement: the gauge
-// fault.pack_speedup_64 (serial ms / pack-64 ms, both single-threaded) feeds
-// the fbt_report diff --min-pack-speedup CI gate. A no-drop pass is reported
-// alongside as the raw-propagation bound. Writes BENCH_ppsfp.json with the
-// timings, speedups, and pack-efficiency gauges (groups simulated, lanes
-// wasted, diff words propagated).
+// against the shared good-machine trace), single-threaded and with the
+// fault-group walk split over threads -- verifying bit-identical detect
+// counts and first-detect provenance at every configuration. The realistic
+// grade mode (fault dropping at --detect-limit, default 1) is the gated
+// measurement: the gauge fault.pack_speedup_64 (serial ms / pack-64 ms, both
+// single-threaded) feeds the fbt_report diff --min-pack-speedup CI gate. A
+// no-drop pass is reported alongside as the raw-propagation bound. Writes
+// BENCH_ppsfp.json with the timings, speedups, and pack-efficiency gauges
+// (groups simulated, lanes wasted, diff words propagated).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +20,8 @@
 #include <vector>
 
 #include "circuits/registry.hpp"
-#include "fault/parallel_fault_sim.hpp"
+#include "fault/fault_sim.hpp"
+#include "jobs/job_system.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
@@ -57,7 +58,7 @@ struct GradeRun {
 
 // One timed repeat: the pure grade, no provenance -- provenance collection
 // is optional telemetry, off on the flow's hot path.
-double timed_grade(fbt::ParallelBroadsideFaultSim& sim,
+double timed_grade(fbt::BroadsideFaultSim& sim,
                    const fbt::TestSet& tests,
                    const fbt::TransitionFaultList& faults,
                    std::uint32_t detect_limit) {
@@ -69,7 +70,7 @@ double timed_grade(fbt::ParallelBroadsideFaultSim& sim,
 
 // Untimed pass collecting the counts and provenance the identity check
 // compares.
-GradeRun identity_grade(fbt::ParallelBroadsideFaultSim& sim,
+GradeRun identity_grade(fbt::BroadsideFaultSim& sim,
                         const fbt::TestSet& tests,
                         const fbt::TransitionFaultList& faults,
                         std::uint32_t detect_limit) {
@@ -127,17 +128,17 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;
   // Serial reference (pack width 1, one thread) plus the packed configs.
-  fbt::ParallelBroadsideFaultSim serial(nl, 1, nullptr, 1);
+  fbt::BroadsideFaultSim serial(nl);
   struct Config {
     std::uint32_t width;
     std::size_t threads;
   };
   std::vector<Config> configs = {{8, 1}, {64, 1}, {64, 2}};
   if (hw != 2 && hw != 1) configs.push_back({64, hw});
-  std::vector<std::unique_ptr<fbt::ParallelBroadsideFaultSim>> sims;
+  std::vector<std::unique_ptr<fbt::BroadsideFaultSim>> sims;
   for (const Config& c : configs) {
-    sims.push_back(std::make_unique<fbt::ParallelBroadsideFaultSim>(
-        nl, c.threads, nullptr, c.width));
+    sims.push_back(std::make_unique<fbt::BroadsideFaultSim>(nl, c.width, nullptr,
+                                                            c.threads));
   }
 
   // Timed repeats run interleaved across the engines: a noisy phase of a
@@ -215,8 +216,8 @@ int main(int argc, char** argv) {
   // No-drop pass: every fault stays active through every block, the raw
   // propagation-throughput bound (bench_parallel_grade's regime). Same
   // interleaving.
-  fbt::ParallelBroadsideFaultSim serial_nd(nl, 1, nullptr, 1);
-  fbt::ParallelBroadsideFaultSim packed_nd(nl, 1, nullptr, 64);
+  fbt::BroadsideFaultSim serial_nd(nl);
+  fbt::BroadsideFaultSim packed_nd(nl, 64);
   double serial_nd_best = 1e300;
   double packed_nd_best = 1e300;
   for (std::size_t r = 0; r < repeats; ++r) {

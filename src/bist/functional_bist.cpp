@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "bist/packed_candidates.hpp"
-#include "fault/parallel_fault_sim.hpp"
+#include "fault/fault_sim.hpp"
 #include "obs/instrument.hpp"
 #include "sim/seqsim.hpp"
 #include "util/require.hpp"
@@ -146,9 +146,9 @@ FunctionalBistResult FunctionalBistGenerator::run(
 
   FunctionalBistResult result;
   result.first_detect.assign(faults.size(), FaultFirstDetect{});
-  ParallelBroadsideFaultSim fsim(
-      *netlist_, config_.num_threads, jobs_,
-      static_cast<std::uint32_t>(config_.fault_pack_width), flat_);
+  BroadsideFaultSim fsim(*netlist_,
+                         static_cast<std::uint32_t>(config_.fault_pack_width),
+                         flat_, config_.num_threads, jobs_);
   SeqSim sim = flat_ != nullptr ? SeqSim(*netlist_, flat_) : SeqSim(*netlist_);
 
   // Provenance bookkeeping: applied-test stream position and the running

@@ -61,9 +61,9 @@ struct FunctionalBistConfig {
   const class TransitionPatternStore* pattern_store = nullptr;
   std::uint64_t rng_seed = 1;
   std::uint32_t detect_limit = 1;  ///< n-detect threshold for "new" faults
-  /// Worker threads for candidate-segment fault grading (0 = hardware
-  /// concurrency). Results are bit-identical for any value; 1 keeps the
-  /// serial reference engine.
+  /// PPSFP walkers for candidate-segment fault grading (0 = hardware
+  /// concurrency). Results are bit-identical for any value; 1 walks each
+  /// block on the calling thread.
   std::size_t num_threads = 1;
   /// Speculation width W of the candidate-seed search: the packed engine
   /// pre-draws W seeds and evaluates all W candidate trajectories in one
@@ -72,7 +72,7 @@ struct FunctionalBistConfig {
   /// 1 keeps the scalar reference loop; state-holding and pattern-store
   /// configurations fall back to scalar automatically.
   std::size_t speculation_lanes = 64;
-  /// Fault lanes packed per machine word inside each grading shard (PPSFP;
+  /// Fault lanes packed per machine word by the grader (PPSFP;
   /// clamped to [1, 64]). Detect counts, detection matrices, and first-detect
   /// attribution are bit-identical for any width; 1 keeps the serial
   /// reference engine.

@@ -6,7 +6,7 @@
 //    keeping a group only when it detects a fault no later group detects
 //    (reduce_groups; reverse_order_compaction is its one-test-per-group
 //    case). The sweep runs on the fault grader, so it shares the grader's
-//    thread sharding and PPSFP packing and feeds its counters;
+//    threaded PPSFP walk and feeds its counters;
 //  * forward-looking [89]: first compute, for every fault, the earliest test
 //    that detects it; a test is essential if it is the earliest detector of
 //    some fault; remaining faults are then credited to kept tests greedily.
@@ -51,8 +51,8 @@ std::vector<std::size_t> forward_looking_compaction(
 /// one contiguous run (fbt::Error otherwise), and a group may be empty.
 /// Returns kept group ids, ascending. This is the §4.3 "reduce the number of
 /// selected seeds" step. `num_threads`, `jobs` and `fault_pack_width`
-/// configure the grader as for ParallelBroadsideFaultSim; the kept set is
-/// identical for any setting.
+/// configure the grader as for BroadsideFaultSim; the kept set is identical
+/// for any setting.
 std::vector<std::size_t> reduce_groups(const Netlist& netlist,
                                        const TestSet& tests,
                                        const TransitionFaultList& faults,

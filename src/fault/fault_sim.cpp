@@ -85,18 +85,25 @@ std::vector<std::uint8_t> second_state(const Netlist& netlist,
 
 BroadsideFaultSim::BroadsideFaultSim(const Netlist& netlist,
                                      std::uint32_t fault_pack_width,
-                                     std::shared_ptr<const FlatFanins> flat)
+                                     std::shared_ptr<const FlatFanins> flat,
+                                     std::size_t num_threads,
+                                     jobs::JobSystem* jobs)
     : netlist_(&netlist),
       sim_(netlist),
-      pack_width_(std::clamp<std::uint32_t>(fault_pack_width, 1, 64)) {
+      pack_width_(std::clamp<std::uint32_t>(fault_pack_width, 1, 64)),
+      jobs_(jobs) {
   v1_values_.assign(netlist.size(), 0);
   state2_.assign(netlist.num_flops(), 0);
   if (pack_width_ > 1) {
-    packed_ = std::make_unique<PackedFaultProp>(netlist, std::move(flat));
+    walkers_.resize(jobs::JobSystem::resolve_threads(num_threads));
+    if (walkers_.size() > 1 && flat == nullptr) {
+      // One immutable CSR shared by every walker's packed kernel.
+      flat = std::make_shared<const FlatFanins>(netlist);
+    }
+    for (Walker& w : walkers_) {
+      w.prop = std::make_unique<PackedFaultProp>(netlist, flat);
+    }
     good2_values_.assign(netlist.size(), 0);
-    chunk_sites_.assign(64, 0);
-    chunk_fault_.assign(64, 0);
-    chunk_pos_.assign(64, 0);
   }
 }
 
@@ -172,11 +179,88 @@ std::uint64_t BroadsideFaultSim::fault_mask(const TransitionFault& fault) {
   return active & sim_.fault_propagate(fault.line, forced);
 }
 
-void BroadsideFaultSim::bind_packed_block() {
+void BroadsideFaultSim::capture_good_trace() {
   for (NodeId id = 0; id < netlist_->size(); ++id) {
     good2_values_[id] = sim_.value(id);
   }
-  packed_->bind_good_trace(good2_values_);
+}
+
+void BroadsideFaultSim::walk_groups(Walker& w, const PackedBlock& block,
+                                    std::size_t g_begin, std::size_t g_end) {
+  w.prop->bind_good_trace(good2_values_);
+  const std::size_t ngroups = block.ngroups;
+  for (std::size_t g = g_begin; g < g_end; ++g) {
+    std::uint64_t ta[64] = {0};
+    const std::size_t base = g * 64;
+    const std::size_t glanes =
+        std::min<std::size_t>(64, block.active.size() - base);
+    for (std::size_t k = 0; k < glanes; ++k) {
+      ta[k] = launch_mask(block.faults->fault(block.active[base + k]));
+    }
+    transpose64(ta);
+    // Test-major layout: the per-test chunk walk below streams one
+    // contiguous row instead of striding across groups.
+    for (std::size_t t = 0; t < block.count; ++t) {
+      launch_tx_[t * ngroups + g] = ta[t];
+    }
+  }
+  // Locals, not fields: the hit and needy stores below cannot alias them,
+  // so the hot loop keeps them in registers.
+  const std::uint32_t* const counts = block.detect_count.data();
+  const std::uint32_t limit = block.detect_limit;
+  const std::uint32_t width = pack_width_;
+  std::uint32_t* const hits = block_hits_.data();
+  std::uint64_t* const needy = needy_.data();
+  std::uint64_t groups = 0;
+  std::uint64_t lanes_wasted = 0;
+  for (std::size_t t = 0; t < block.count; ++t) {
+    std::size_t lanes = 0;
+    // Propagate one packed chunk and credit the detected lanes.
+    const auto flush = [&](std::size_t nlanes) {
+      ++groups;
+      lanes_wasted += width - nlanes;
+      const std::uint64_t a = nlanes == 64 ? ~0ULL : ((1ULL << nlanes) - 1);
+      std::uint64_t det = w.prop->propagate_internal(
+          std::span<const NodeId>(w.chunk_sites.data(), nlanes), a,
+          static_cast<unsigned>(t));
+      while (det != 0) {
+        const unsigned k = static_cast<unsigned>(__builtin_ctzll(det));
+        det &= det - 1;
+        const std::uint32_t f = w.chunk_fault[k];
+        if (hits[f]++ == 0 && block.provenance && counts[f] == 0) {
+          w.first_hits.push_back(
+              {f, static_cast<std::uint32_t>(block.first + t)});
+        }
+        if (counts[f] + hits[f] >= limit) {
+          const std::uint32_t pos = w.chunk_pos[k];
+          needy[pos >> 6] &= ~(1ULL << (pos & 63));
+        }
+      }
+    };
+    for (std::size_t g = g_begin; g < g_end; ++g) {
+      // Lanes whose fault saturated at an earlier test of this block are
+      // masked out wholesale; skipping them reproduces the serial engine's
+      // min(limit, count + popcount) exactly -- it cannot tell the
+      // difference.
+      std::uint64_t word = launch_tx_[t * ngroups + g] & needy[g];
+      while (word != 0) {
+        const unsigned k = static_cast<unsigned>(__builtin_ctzll(word));
+        word &= word - 1;
+        const std::uint32_t pos = static_cast<std::uint32_t>(g * 64 + k);
+        const std::uint32_t f = block.active[pos];
+        w.chunk_sites[lanes] = site_internal_[f];
+        w.chunk_fault[lanes] = f;
+        w.chunk_pos[lanes] = pos;
+        if (++lanes == width) {
+          flush(lanes);
+          lanes = 0;
+        }
+      }
+    }
+    if (lanes != 0) flush(lanes);
+  }
+  w.groups += groups;
+  w.lanes_wasted += lanes_wasted;
 }
 
 std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
@@ -208,18 +292,22 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
   if (pack_width_ > 1) {
     // Translate each fault site into the packed kernel's internal id space
     // once up front; the chunk walk hands propagate_internal() pre-resolved
-    // sites instead of paying the lookup per lane per call.
+    // sites instead of paying the lookup per lane per call. Every walker's
+    // kernel is laid out from the same netlist, so one table serves all.
     site_internal_.resize(faults.size());
     for (std::size_t f = 0; f < faults.size(); ++f) {
-      site_internal_[f] = packed_->internal_id(faults.fault(f).line);
+      site_internal_[f] = walkers_[0].prop->internal_id(faults.fault(f).line);
     }
+  }
+  std::uint64_t pack_words = 0;  // minus the kernels' totals before the walk
+  for (Walker& w : walkers_) {
+    w.first_hits.clear();
+    w.groups = 0;
+    w.lanes_wasted = 0;
+    pack_words -= w.prop->diff_words_propagated();
   }
   std::size_t newly_complete = 0;
   std::size_t tests_loaded = 0;
-  std::uint64_t pack_groups = 0;
-  std::uint64_t pack_lanes_wasted = 0;
-  const std::uint64_t pack_evals_before =
-      packed_ != nullptr ? packed_->diff_words_propagated() : 0;
   for (std::size_t first = 0; first < tests.size() && !active.empty();
        first += 64) {
     const std::size_t count = std::min<std::size_t>(64, tests.size() - first);
@@ -235,7 +323,7 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
       // saturation arithmetic, so detect counts and first-detect attribution
       // reproduce the serial engine exactly; see DESIGN.md "PPSFP packed
       // fault grading".
-      bind_packed_block();
+      capture_good_trace();
       block_hits_.assign(faults.size(), 0);
       const std::size_t ngroups = (active.size() + 63) / 64;
       // Every listed fault starts the block short of its limit (grade()
@@ -247,68 +335,26 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
         needy_.back() = (1ULL << (active.size() & 63)) - 1;
       }
       launch_tx_.assign(ngroups * 64, 0);
-      for (std::size_t g = 0; g < ngroups; ++g) {
-        std::uint64_t ta[64] = {0};
-        const std::size_t base = g * 64;
-        const std::size_t glanes =
-            std::min<std::size_t>(64, active.size() - base);
-        for (std::size_t k = 0; k < glanes; ++k) {
-          ta[k] = launch_mask(faults.fault(active[base + k]));
-        }
-        transpose64(ta);
-        // Test-major layout: the per-test chunk walk below streams one
-        // contiguous row instead of striding across groups.
-        for (std::size_t t = 0; t < count; ++t) {
-          launch_tx_[t * ngroups + g] = ta[t];
-        }
-      }
-      for (std::size_t t = 0; t < count; ++t) {
-        std::size_t lanes = 0;
-        // Propagate one packed chunk and credit the detected lanes.
-        const auto flush = [&](std::size_t nlanes) {
-          ++pack_groups;
-          pack_lanes_wasted += pack_width_ - nlanes;
-          const std::uint64_t a =
-              nlanes == 64 ? ~0ULL : ((1ULL << nlanes) - 1);
-          std::uint64_t det = packed_->propagate_internal(
-              std::span<const NodeId>(chunk_sites_.data(), nlanes), a,
-              static_cast<unsigned>(t));
-          while (det != 0) {
-            const unsigned k = static_cast<unsigned>(__builtin_ctzll(det));
-            det &= det - 1;
-            const std::uint32_t f = chunk_fault_[k];
-            if (block_hits_[f]++ == 0 && provenance != nullptr &&
-                detect_count[f] == 0) {
-              provenance->first_hits.push_back(
-                  {f, static_cast<std::uint32_t>(first + t)});
-            }
-            if (detect_count[f] + block_hits_[f] >= detect_limit) {
-              const std::uint32_t pos = chunk_pos_[k];
-              needy_[pos >> 6] &= ~(1ULL << (pos & 63));
-            }
-          }
-        };
-        for (std::size_t g = 0; g < ngroups; ++g) {
-          // Lanes whose fault saturated at an earlier test of this block
-          // are masked out wholesale; skipping them reproduces the serial
-          // engine's min(limit, count + popcount) exactly -- it cannot tell
-          // the difference.
-          std::uint64_t w = launch_tx_[t * ngroups + g] & needy_[g];
-          while (w != 0) {
-            const unsigned k = static_cast<unsigned>(__builtin_ctzll(w));
-            w &= w - 1;
-            const std::uint32_t pos = static_cast<std::uint32_t>(g * 64 + k);
-            const std::uint32_t f = active[pos];
-            chunk_sites_[lanes] = site_internal_[f];
-            chunk_fault_[lanes] = f;
-            chunk_pos_[lanes] = pos;
-            if (++lanes == pack_width_) {
-              flush(lanes);
-              lanes = 0;
-            }
-          }
-        }
-        if (lanes != 0) flush(lanes);
+      const PackedBlock block{.active = active,
+                              .faults = &faults,
+                              .detect_count = detect_count,
+                              .detect_limit = detect_limit,
+                              .first = first,
+                              .count = count,
+                              .ngroups = ngroups,
+                              .provenance = provenance != nullptr};
+      // Walkers take contiguous ranges of whole groups: each writes only
+      // its own faults' block_hits_ and its own groups' needy_ and
+      // launch_tx_ words, so the walk needs no locks and no merge.
+      const std::size_t nwalkers = std::min(walkers_.size(), ngroups);
+      if (nwalkers < 2) {
+        walk_groups(walkers_[0], block, 0, ngroups);
+      } else {
+        jobs::JobSystem& pool = jobs_ != nullptr ? *jobs_ : jobs::global_jobs();
+        pool.parallel_for(nwalkers, [&](std::size_t w) {
+          walk_groups(walkers_[w], block, ngroups * w / nwalkers,
+                      ngroups * (w + 1) / nwalkers);
+        });
       }
       for (const std::uint32_t f : active) {
         if (block_hits_[f] != 0) {
@@ -350,9 +396,20 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
                                     block_newly});
     }
   }
+  std::uint64_t pack_groups = 0;
+  std::uint64_t pack_lanes_wasted = 0;
+  for (Walker& w : walkers_) {
+    pack_groups += w.groups;
+    pack_lanes_wasted += w.lanes_wasted;
+    pack_words += w.prop->diff_words_propagated();
+    if (provenance != nullptr) {
+      provenance->first_hits.insert(provenance->first_hits.end(),
+                                    w.first_hits.begin(), w.first_hits.end());
+    }
+  }
   if (provenance != nullptr) {
-    // Canonical order: the in-loop order is (block, active-list position),
-    // which a sharded merge cannot reproduce; fault index can.
+    // Canonical order: the in-loop order is (block, walker, test), which
+    // depends on the thread count; fault index does not.
     std::sort(provenance->first_hits.begin(), provenance->first_hits.end(),
               [](const FirstDetectHit& a, const FirstDetectHit& b) {
                 return a.fault < b.fault;
@@ -362,11 +419,10 @@ std::size_t BroadsideFaultSim::grade(std::span<const BroadsideTest> tests,
   // list empties, so tests.size() would overcount.
   FBT_OBS_COUNTER_ADD("fault.tests_graded", tests_loaded);
   FBT_OBS_COUNTER_ADD("fault.faults_dropped", newly_complete);
-  if (packed_ != nullptr) {
+  if (pack_width_ > 1) {
     FBT_OBS_COUNTER_ADD("fault.pack_groups_simulated", pack_groups);
     FBT_OBS_COUNTER_ADD("fault.pack_lanes_wasted", pack_lanes_wasted);
-    FBT_OBS_COUNTER_ADD("fault.pack_diff_words_propagated",
-                        packed_->diff_words_propagated() - pack_evals_before);
+    FBT_OBS_COUNTER_ADD("fault.pack_diff_words_propagated", pack_words);
   }
   FBT_OBS_HIST_RECORD("fault.grade_duration_ms", grade_timer.ms());
   return newly_complete;
@@ -392,12 +448,29 @@ bool BroadsideFaultSim::detects(const BroadsideTest& test,
                                 const TransitionFault& fault) {
   load_block(std::span(&test, 1), 0, 1);
   if (pack_width_ > 1) {
-    bind_packed_block();
+    capture_good_trace();
     if ((launch_mask(fault) & 1ULL) == 0) return false;
+    PackedFaultProp& prop = *walkers_[0].prop;
+    prop.bind_good_trace(good2_values_);
     const NodeId site = fault.line;
-    return (packed_->propagate(std::span(&site, 1), 1ULL, 0) & 1ULL) != 0;
+    return (prop.propagate(std::span(&site, 1), 1ULL, 0) & 1ULL) != 0;
   }
   return (fault_mask(fault) & 1ULL) != 0;
+}
+
+std::uint64_t BroadsideFaultSim::footprint_bytes() const {
+  std::uint64_t bytes =
+      sizeof(*this) - sizeof(sim_) + sim_.footprint_bytes() +
+      (v1_values_.size() + state2_.size() + pack_scratch_.size() +
+       good2_values_.size() + launch_tx_.size() + needy_.size()) *
+          sizeof(std::uint64_t) +
+      site_internal_.size() * sizeof(NodeId) +
+      block_hits_.size() * sizeof(std::uint32_t);
+  for (const Walker& w : walkers_) {
+    bytes += sizeof(Walker) + w.prop->footprint_bytes() +
+             w.first_hits.size() * sizeof(FirstDetectHit);
+  }
+  return bytes;
 }
 
 }  // namespace fbt

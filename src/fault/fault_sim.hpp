@@ -7,13 +7,17 @@
 // and a full per-test detection matrix for the transition-path-delay-fault
 // engine of Chapter 2.
 //
-// Two propagation engines share the good-machine block evaluation:
+// Two propagation engines share the good-machine block evaluation, which
+// runs once per 64-test block on the calling thread:
 //  * serial (fault_pack_width == 1, the reference): one fault at a time, 64
-//    tests per word (BitSim::fault_propagate);
+//    tests per word (BitSim::fault_propagate), on the calling thread;
 //  * PPSFP (fault_pack_width > 1): up to `fault_pack_width` faults per word,
 //    one test at a time, against the shared fault-free two-frame trace
-//    (PackedFaultProp). Detect counts and first-detect provenance are
-//    bit-identical across pack widths.
+//    (PackedFaultProp). With `num_threads` > 1 the block's active fault list
+//    is split into contiguous ranges of whole 64-fault groups, one per
+//    walker, run as parallel_for tasks on a JobSystem.
+// Detect counts and first-detect provenance are bit-identical across pack
+// widths and thread counts.
 // grade() is the product path -- candidate grading and the §4.3 reduction
 // sweep (reduce_groups) both run on it, so both feed fault.tests_graded and
 // the fault.pack_* counters. detection_matrix() always runs the serial
@@ -21,6 +25,7 @@
 // dictionary, forward-looking compaction) use small test sets.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -28,6 +33,7 @@
 
 #include "fault/broadside_test.hpp"
 #include "fault/fault.hpp"
+#include "jobs/job_system.hpp"
 #include "netlist/flat_fanins.hpp"
 #include "sim/bitsim.hpp"
 #include "sim/packed_faultprop.hpp"
@@ -55,8 +61,8 @@ struct GradeBlockStat {
 
 /// Optional provenance from one grade() call. Both vectors are canonical --
 /// first_hits sorted by fault index, blocks in test order covering every
-/// block any still-active fault was graded against -- so the serial engine
-/// and any sharded parallel merge produce bit-identical provenance.
+/// block any still-active fault was graded against -- so every engine and
+/// thread count produces bit-identical provenance.
 struct GradeProvenance {
   std::vector<FirstDetectHit> first_hits;
   std::vector<GradeBlockStat> blocks;
@@ -80,11 +86,16 @@ class BroadsideFaultSim {
   /// is walked in groups of up to `fault_pack_width` (clamped to [1, 64])
   /// bit-lanes propagated together against the shared good-machine trace.
   /// 1 (and 0) keeps the serial reference engine. `flat` optionally shares a
-  /// pre-built CSR of `netlist` with the packed engine (nullptr rebuilds
-  /// one; ignored when serial).
+  /// pre-built CSR of `netlist` with the packed engine (nullptr builds one;
+  /// ignored when serial). `num_threads` PPSFP walkers (0 = hardware
+  /// concurrency, JobSystem's rule) split each block's fault groups between
+  /// them as tasks on `jobs` (the process-wide pool when null; it must
+  /// outlive this object); the serial engine ignores both.
   explicit BroadsideFaultSim(const Netlist& netlist,
                              std::uint32_t fault_pack_width = 1,
-                             std::shared_ptr<const FlatFanins> flat = nullptr);
+                             std::shared_ptr<const FlatFanins> flat = nullptr,
+                             std::size_t num_threads = 1,
+                             jobs::JobSystem* jobs = nullptr);
 
   /// Resolved pack width (>= 1; > 1 means the PPSFP engine is active).
   std::uint32_t fault_pack_width() const { return pack_width_; }
@@ -110,22 +121,36 @@ class BroadsideFaultSim {
   /// Single-query convenience: does `test` detect `fault`?
   bool detects(const BroadsideTest& test, const TransitionFault& fault);
 
-  /// Bytes owned by the embedded simulators and frame buffers
+  /// Bytes owned by the embedded simulators, PPSFP walkers and frame buffers
   /// (resource telemetry).
-  std::uint64_t footprint_bytes() const {
-    std::uint64_t bytes =
-        sizeof(*this) - sizeof(sim_) + sim_.footprint_bytes() +
-        (v1_values_.size() + state2_.size() + pack_scratch_.size() +
-         good2_values_.size() + launch_tx_.size() + needy_.size()) *
-            sizeof(std::uint64_t) +
-        (chunk_sites_.size() + site_internal_.size()) * sizeof(NodeId) +
-        (chunk_fault_.size() + chunk_pos_.size() + block_hits_.size()) *
-            sizeof(std::uint32_t);
-    if (packed_ != nullptr) bytes += packed_->footprint_bytes();
-    return bytes;
-  }
+  std::uint64_t footprint_bytes() const;
 
  private:
+  // One PPSFP walker: a packed kernel bound to the block's good trace, the
+  // scratch of the chunk it is filling and its tallies for one grade() call.
+  // Walkers own disjoint fault-group ranges, so they share nothing writable.
+  struct Walker {
+    std::unique_ptr<PackedFaultProp> prop;
+    std::array<NodeId, 64> chunk_sites{};         // per lane: fault site
+    std::array<std::uint32_t, 64> chunk_fault{};  // per lane: fault index
+    std::array<std::uint32_t, 64> chunk_pos{};    // per lane: active position
+    std::vector<FirstDetectHit> first_hits;
+    std::uint64_t groups = 0;        // chunks propagated
+    std::uint64_t lanes_wasted = 0;  // idle lanes over those chunks
+  };
+
+  // The loaded block as the PPSFP walkers see it (read-only during a walk).
+  struct PackedBlock {
+    std::span<const std::uint32_t> active;
+    const TransitionFaultList* faults = nullptr;
+    std::span<const std::uint32_t> detect_count;
+    std::uint32_t detect_limit = 1;
+    std::size_t first = 0;    // index of the block's first test
+    std::size_t count = 0;    // tests in the block
+    std::size_t ngroups = 0;  // 64-fault groups of the active list
+    bool provenance = false;  // record first hits
+  };
+
   // Loads up to 64 tests into the simulator, evaluates both frames, and
   // leaves frame-1 values in v1_ and frame-2 values in the BitSim.
   void load_block(std::span<const BroadsideTest> tests, std::size_t first,
@@ -135,9 +160,15 @@ class BroadsideFaultSim {
   // engine).
   std::uint64_t fault_mask(const TransitionFault& fault);
 
-  // Copies the loaded block's frame-2 fault-free words out of the BitSim and
-  // binds them to the packed kernel (PPSFP engine).
-  void bind_packed_block();
+  // Copies the loaded block's frame-2 fault-free words out of the BitSim
+  // into good2_values_, the trace every walker binds (PPSFP engine).
+  void capture_good_trace();
+
+  // PPSFP walk of fault groups [g_begin, g_end) of the loaded block on
+  // walker `w`: binds the good trace, transposes the groups' launch masks
+  // and credits block_hits_ test by test.
+  void walk_groups(Walker& w, const PackedBlock& block, std::size_t g_begin,
+                   std::size_t g_end);
 
   // Launch mask of `fault` over the currently loaded block: tests whose
   // fault-free trace makes the line transition the faulted way.
@@ -154,23 +185,21 @@ class BroadsideFaultSim {
   std::vector<std::uint64_t> pack_scratch_;  // source-word packing scratch
   std::uint64_t block_mask_ = 0;          // valid-pattern bits of the block
 
-  // PPSFP engine state (empty/null when pack_width_ == 1). Scheduling is
+  // PPSFP engine state (empty when pack_width_ == 1). Scheduling is
   // test-major: each block transposes the active faults' launch masks into
   // per-test lane words (launch_tx_), and every propagation packs up to
   // pack_width_ still-needy faults of one test into full lane words (fixed
   // fault groups would leave most lanes idle -- a typical test launches only
   // a few percent of any 64-fault group).
   std::uint32_t pack_width_ = 1;
-  std::unique_ptr<PackedFaultProp> packed_;
+  jobs::JobSystem* jobs_ = nullptr;  // not owned; null = global pool
+  std::vector<Walker> walkers_;      // one per thread; [0] walks inline
   std::vector<std::uint64_t> good2_values_;  // frame-2 value words per node
   std::vector<std::uint64_t> launch_tx_;  // [t * groups + g]: launch lanes
   std::vector<std::uint64_t> needy_;      // per active-list position: still
                                           // short of the limit this block
   std::vector<NodeId> site_internal_;     // per fault: internal site id
-  std::vector<NodeId> chunk_sites_;          // per lane: fault site
-  std::vector<std::uint32_t> chunk_fault_;   // per lane: fault index
-  std::vector<std::uint32_t> chunk_pos_;     // per lane: active-list position
-  std::vector<std::uint32_t> block_hits_;    // per fault: hits this block
+  std::vector<std::uint32_t> block_hits_;  // per fault: hits this block
 };
 
 }  // namespace fbt

@@ -39,7 +39,7 @@ struct BistExperimentConfig {
   /// evaluation, clamped to 64). 1 forces the scalar reference loop; results
   /// are bit-identical for any value. Overrides generation.speculation_lanes.
   std::size_t speculation_lanes = 64;
-  /// Fault lanes packed per machine word inside each grading shard (PPSFP,
+  /// Fault lanes packed per machine word by the fault grader (PPSFP,
   /// clamped to [1, 64]); applies to every fault-grading step of the flow.
   /// 1 forces the serial reference engine; results are bit-identical for any
   /// value. Overrides generation.fault_pack_width.

@@ -18,7 +18,7 @@
 //    instead of idling, so nested parallel_for from inside a task cannot
 //    deadlock the pool;
 //  * determinism: the scheduler never influences results -- parallel users
-//    (fault-grading shards, flow task graphs) partition work by index and
+//    (fault-grading walkers, flow task graphs) partition work by index and
 //    merge by index, so any interleaving produces bit-identical output
 //    (pinned by tests/bist/attribution_identity_test.cpp and
 //    tests/serve/server_test.cpp).
@@ -126,7 +126,7 @@ class JobSystem {
 
   /// Maps the num_threads knob to an actual count: 0 becomes
   /// hardware_concurrency() (or 1 when that is unknown). Shared by every
-  /// `num_threads` knob in the repo (grading shards, server pools).
+  /// `num_threads` knob in the repo (grading walkers, server pools).
   static std::size_t resolve_threads(std::size_t requested);
 
   /// Schedules `fn` for execution. The handle outlives the system only as an

@@ -123,18 +123,12 @@ void register_core_counters() {
   reg.counter("atpg.podem_backtracks");
   reg.counter("fault.faults_dropped");
   reg.counter("flow.faults_detected");
-  // Speculative seed search (PR 4) and parallel grading (PR 3): registered
-  // here so the scalar/serial configurations still report them as zeros
-  // instead of omitting them.
+  // Speculative seed search: registered here so the scalar configuration
+  // still reports them as zeros instead of omitting them.
   reg.counter("bist.speculated_lanes");
   reg.counter("bist.speculation_hits");
   reg.counter("bist.speculation_wasted");
   reg.counter("bist.speculation_batches");
-  reg.counter("fault.parallel_shards_graded");
-  // Disambiguates parallel_shards_graded == 0: the serial short-circuit
-  // fired (few faults or one thread), vs. parallelism never engaged at all.
-  reg.counter("fault.serial_grade_fallbacks");
-  reg.gauge("fault.parallel_threads");
   // PPSFP packed fault grading: pack-efficiency counters, registered so
   // serial configurations (pack width 1) still report them as zeros.
   reg.counter("fault.pack_groups_simulated");

@@ -38,41 +38,11 @@ unsigned u32_or(const obs::JsonValue& obj, const std::string& key,
 // what would pin a worker for hours or exhaust memory.
 constexpr std::uint64_t kMaxCycles = std::uint64_t{1} << 20;
 constexpr std::uint64_t kMaxSequences = std::uint64_t{1} << 12;
+// Every grading thread owns a copy of the packed fault kernel.
+constexpr std::uint64_t kMaxThreads = 64;
 constexpr unsigned kMinLfsrStages = 2;   // Lfsr::primitive_taps table
 constexpr unsigned kMaxLfsrStages = 32;
 constexpr unsigned kMaxBiasBits = 32;
-
-/// Empty when `cfg` is within the caps, else the error message.
-std::string check_config(const BistExperimentConfig& cfg) {
-  const std::uint64_t segment = cfg.generation.segment_length;
-  if (segment < 2 || segment % 2 != 0 || segment > kMaxCycles) {
-    return "segment_length must be even, at least 2 and at most " +
-           std::to_string(kMaxCycles);
-  }
-  if (cfg.calibration.sequence_length > kMaxCycles) {
-    return "cal_length must be at most " + std::to_string(kMaxCycles);
-  }
-  if (cfg.calibration.num_sequences > kMaxSequences ||
-      cfg.generation.max_segment_failures > kMaxSequences ||
-      cfg.generation.max_sequence_failures > kMaxSequences) {
-    return "cal_sequences, max_segment_failures and max_sequence_failures "
-           "must be at most " + std::to_string(kMaxSequences);
-  }
-  for (const unsigned stages :
-       {cfg.calibration.tpg.lfsr_stages, cfg.generation.tpg.lfsr_stages,
-        cfg.rtl_misr_stages}) {
-    if (stages < kMinLfsrStages || stages > kMaxLfsrStages) {
-      return "LFSR and MISR stage counts must lie in [" +
-             std::to_string(kMinLfsrStages) + ", " +
-             std::to_string(kMaxLfsrStages) + "]";
-    }
-  }
-  if (cfg.calibration.tpg.bias_bits > kMaxBiasBits ||
-      cfg.generation.tpg.bias_bits > kMaxBiasBits) {
-    return "bias_bits must be at most " + std::to_string(kMaxBiasBits);
-  }
-  return {};
-}
 
 bool bool_or(const obs::JsonValue& obj, const std::string& key,
              bool fallback) {
@@ -89,6 +59,40 @@ std::string fmt_double(double v) {
 }
 
 }  // namespace
+
+std::string check_config(const BistExperimentConfig& cfg) {
+  const std::uint64_t segment = cfg.generation.segment_length;
+  if (segment < 2 || segment % 2 != 0 || segment > kMaxCycles) {
+    return "segment_length must be even, at least 2 and at most " +
+           std::to_string(kMaxCycles);
+  }
+  if (cfg.calibration.sequence_length > kMaxCycles) {
+    return "cal_length must be at most " + std::to_string(kMaxCycles);
+  }
+  if (cfg.calibration.num_sequences > kMaxSequences ||
+      cfg.generation.max_segment_failures > kMaxSequences ||
+      cfg.generation.max_sequence_failures > kMaxSequences) {
+    return "cal_sequences, max_segment_failures and max_sequence_failures "
+           "must be at most " + std::to_string(kMaxSequences);
+  }
+  if (cfg.num_threads > kMaxThreads) {
+    return "num_threads must be at most " + std::to_string(kMaxThreads);
+  }
+  for (const unsigned stages :
+       {cfg.calibration.tpg.lfsr_stages, cfg.generation.tpg.lfsr_stages,
+        cfg.rtl_misr_stages}) {
+    if (stages < kMinLfsrStages || stages > kMaxLfsrStages) {
+      return "LFSR and MISR stage counts must lie in [" +
+             std::to_string(kMinLfsrStages) + ", " +
+             std::to_string(kMaxLfsrStages) + "]";
+    }
+  }
+  if (cfg.calibration.tpg.bias_bits > kMaxBiasBits ||
+      cfg.generation.tpg.bias_bits > kMaxBiasBits) {
+    return "bias_bits must be at most " + std::to_string(kMaxBiasBits);
+  }
+  return {};
+}
 
 bool parse_request(const std::string& line, Request& out, std::string& error) {
   obs::JsonValue doc;

@@ -56,9 +56,13 @@ struct Request {
 /// input (unknown type, bad JSON, missing target) and on a config outside
 /// the fixed work caps: an odd segment_length or one below 2, LFSR/MISR
 /// stages outside the primitive-polynomial table, or bias bits, cycle,
-/// sequence or failure counts above a constant cap. Config fields absent
-/// from the request keep BistExperimentConfig defaults.
+/// sequence, failure or thread counts above a constant cap. Config fields
+/// absent from the request keep BistExperimentConfig defaults.
 bool parse_request(const std::string& line, Request& out, std::string& error);
+
+/// The work-cap check parse_request applies: empty when `cfg` is within the
+/// caps, else the error message.
+std::string check_config(const BistExperimentConfig& cfg);
 
 /// Hex fingerprint of the per-fault detect-count vector.
 std::string hash_detect_counts(const std::vector<std::uint32_t>& counts);

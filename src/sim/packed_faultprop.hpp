@@ -45,7 +45,7 @@ class PackedFaultProp {
   static constexpr std::size_t kLanes = 64;
 
   /// `flat` shares a pre-built CSR of `netlist` (nullptr rebuilds one); the
-  /// parallel grader hands the same immutable CSR to every shard, and each
+  /// fault grader hands the same immutable CSR to every walker, and each
   /// kernel lays its own level-major copy out from it.
   explicit PackedFaultProp(const Netlist& netlist,
                            std::shared_ptr<const FlatFanins> flat = nullptr);

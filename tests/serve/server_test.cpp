@@ -314,6 +314,7 @@ TEST(ExperimentService, ConfigOutsideTheWorkCapsIsAnErrorAndServingContinues) {
       R"("max_sequence_failures": 1e15)",  R"("tpg_lfsr_stages": 1)",
       R"("cal_lfsr_stages": 33)",          R"("tpg_lfsr_stages": 4294967298)",
       R"("rtl_misr_stages": 0)",           R"("tpg_bias_bits": 1e9)",
+      R"("num_threads": 100000000)",       R"("num_threads": 65)",
   };
   for (const char* field : absurd) {
     lines.clear();
