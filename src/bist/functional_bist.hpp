@@ -130,9 +130,9 @@ class FunctionalBistGenerator {
   FunctionalBistGenerator(const Netlist& netlist,
                           const FunctionalBistConfig& config);
 
-  /// Serving-path constructor: shares a pre-built FlatFanins CSR of
-  /// `netlist` with the internal simulator (nullptr rebuilds one) and runs
-  /// fault grading on `jobs` (nullptr selects the process-wide pool).
+  /// Flow constructor: shares a pre-built FlatFanins view of `netlist`
+  /// with the internal simulators (nullptr builds one) and runs fault
+  /// grading on `jobs` (nullptr selects the process-wide pool).
   FunctionalBistGenerator(const Netlist& netlist,
                           const FunctionalBistConfig& config,
                           std::shared_ptr<const FlatFanins> flat,

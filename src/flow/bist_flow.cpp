@@ -26,9 +26,9 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
       config.driver_name.empty() || config.driver_name == "buffers";
 
   // Artifact stage as a task graph: the target load gates everything;
-  // driver load, CSR flattening, and fault collapsing then run in parallel,
-  // and calibration starts the moment its three inputs exist. A supplied
-  // artifact turns its task into a copy (or a no-op for the shared CSR).
+  // driver load and fault collapsing then run in parallel, and calibration
+  // starts the moment both netlists exist. A supplied artifact turns its
+  // task into a copy.
   // wait_all() helps run the tasks, so this nests safely inside a task of
   // the same pool (the serving path).
   Netlist target("");
@@ -45,10 +45,6 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                              : load_benchmark(config.driver_name);
     }
   });
-  std::shared_ptr<const FlatFanins> flat = artifacts.flat;
-  const jobs::TaskHandle t_flat = jobs.submit_after({t_target}, [&] {
-    if (flat == nullptr) flat = std::make_shared<const FlatFanins>(target);
-  });
   TransitionFaultList faults;
   const jobs::TaskHandle t_faults = jobs.submit_after({t_target}, [&] {
     faults = artifacts.faults != nullptr
@@ -61,14 +57,12 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
   // calibration (keyed on netlist contents + calibration config) skips the
   // simulation entirely.
   double swa_func = 0.0;
-  const jobs::TaskHandle t_cal =
-      jobs.submit_after({t_target, t_driver, t_flat}, [&] {
-        swa_func = artifacts.swa_func_percent.has_value()
-                       ? *artifacts.swa_func_percent
-                       : measure_swa_func(target, driver, config.calibration,
-                                          flat)
-                             .peak_percent;
-      });
+  const jobs::TaskHandle t_cal = jobs.submit_after({t_target, t_driver}, [&] {
+    swa_func = artifacts.swa_func_percent.has_value()
+                   ? *artifacts.swa_func_percent
+                   : measure_swa_func(target, driver, config.calibration)
+                         .peak_percent;
+  });
   jobs.wait_all({t_cal, t_faults});
 
   FunctionalBistConfig gen = config.generation;
@@ -95,7 +89,9 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                               .rtl = {}};
   result.detect_count.assign(result.faults.size(), 0);
 
-  FunctionalBistGenerator generator(result.target, gen, flat, &jobs);
+  FunctionalBistGenerator generator(
+      result.target, gen, std::make_shared<const FlatFanins>(result.target),
+      &jobs);
   result.nsp = generator.tpg().cube().specified_count();
   result.run = generator.run(result.faults, result.detect_count);
   result.seeds_before_reduction = result.run.num_seeds;

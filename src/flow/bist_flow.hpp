@@ -84,8 +84,6 @@ struct ExperimentArtifacts {
   std::optional<double> swa_func_percent;
   /// Collapsed transition-fault list of the target.
   std::shared_ptr<const TransitionFaultList> faults;
-  /// Flattened fanin CSR of the target (shared by the internal simulators).
-  std::shared_ptr<const FlatFanins> flat;
 };
 
 /// Runs calibration + constrained (or unconstrained, when driver is
@@ -93,11 +91,11 @@ struct ExperimentArtifacts {
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config);
 
 /// Same flow as a task graph on `jobs`: target/driver loading, SWA_func
-/// calibration, CSR flattening, and fault collapsing run as dependency-
-/// ordered tasks, and every fault-grading step multiplexes `jobs` -- many
-/// experiments share one pool. `artifacts` short-circuits tasks whose
-/// results the caller already holds (cache hits). Results are bit-identical
-/// to the single-argument overload for any pool size and any artifacts.
+/// calibration, and fault collapsing run as dependency-ordered tasks, and
+/// every fault-grading step multiplexes `jobs` -- many experiments share one
+/// pool. `artifacts` short-circuits tasks whose results the caller already
+/// holds (cache hits). Results are bit-identical to the single-argument
+/// overload for any pool size and any artifacts.
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                                          jobs::JobSystem& jobs,
                                          const ExperimentArtifacts& artifacts);

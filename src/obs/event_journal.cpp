@@ -62,9 +62,10 @@ void EventJournal::emit(
   events_.push_back(std::move(event));
 }
 
-std::vector<JournalEvent> EventJournal::events() const {
+std::vector<JournalEvent> EventJournal::events(std::size_t from) const {
   std::lock_guard lock(mutex_);
-  return events_;
+  if (from >= events_.size()) return {};
+  return {events_.begin() + static_cast<std::ptrdiff_t>(from), events_.end()};
 }
 
 std::size_t EventJournal::size() const {

@@ -72,8 +72,9 @@ class EventJournal {
             std::initializer_list<std::pair<std::string_view, EventValue>>
                 fields);
 
-  /// Copy of every recorded event, in emission order.
-  std::vector<JournalEvent> events() const;
+  /// Copy of the recorded events [from, size()), in emission order; empty
+  /// when `from` is at or past the end.
+  std::vector<JournalEvent> events(std::size_t from = 0) const;
 
   std::size_t size() const;
 

@@ -84,10 +84,6 @@ CacheKey fault_list_cache_key(const CacheKey& target_key) {
   return KeyBuilder().str("fault_list").key(target_key).finish();
 }
 
-CacheKey flat_fanins_cache_key(const CacheKey& target_key) {
-  return KeyBuilder().str("flat_fanins").key(target_key).finish();
-}
-
 CacheKey experiment_cache_key(const CacheKey& target_key,
                               const CacheKey& driver_key,
                               const BistExperimentConfig& config) {

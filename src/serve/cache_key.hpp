@@ -68,9 +68,6 @@ CacheKey calibration_cache_key(const CacheKey& target_key,
 /// Key of the collapsed transition-fault list (depends only on the target).
 CacheKey fault_list_cache_key(const CacheKey& target_key);
 
-/// Key of the flattened fanin CSR (depends only on the target).
-CacheKey flat_fanins_cache_key(const CacheKey& target_key);
-
 /// Key of a full experiment result. Folds the netlist keys and every config
 /// field that can change the result bytes; num_threads, speculation_lanes,
 /// and fault_pack_width are excluded (results are bit-identical across

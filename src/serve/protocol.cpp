@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "obs/json.hpp"
-#include "obs/run_report.hpp"
+#include "obs/run_report.hpp"  // json_escape
 #include "serve/cache_key.hpp"
 
 namespace fbt::serve {
@@ -90,6 +90,12 @@ std::string check_config(const BistExperimentConfig& cfg) {
   if (cfg.calibration.tpg.bias_bits > kMaxBiasBits ||
       cfg.generation.tpg.bias_bits > kMaxBiasBits) {
     return "bias_bits must be at most " + std::to_string(kMaxBiasBits);
+  }
+  // Zero would only fail in the flow, after calibration already ran.
+  if (cfg.generation.detect_limit == 0 || cfg.scan.max_chains == 0 ||
+      cfg.scan.min_chain_length == 0) {
+    return "detect_limit, scan_max_chains and scan_min_chain_length must be "
+           "at least 1";
   }
   return {};
 }
@@ -210,36 +216,6 @@ std::string hash_first_detects(const std::vector<FaultFirstDetect>& fd) {
   return b.finish().hex();
 }
 
-std::string compact_json(const std::string& pretty) {
-  std::string out;
-  out.reserve(pretty.size());
-  bool in_string = false;
-  bool escaped = false;
-  bool at_line_start = false;
-  for (const char c : pretty) {
-    if (in_string) {
-      out.push_back(c);
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '\n') {
-      at_line_start = true;
-      continue;
-    }
-    if (at_line_start && (c == ' ' || c == '\t')) continue;
-    at_line_start = false;
-    if (c == '"') in_string = true;
-    out.push_back(c);
-  }
-  return out;
-}
-
 namespace {
 
 void append_latency(std::string& out, const char* key,
@@ -306,8 +282,7 @@ std::string render_progress(const std::string& id,
 
 std::string render_result(const std::string& id, const ExperimentSummary& s,
                           bool cache_hit, const std::string& experiment_key,
-                          double elapsed_ms,
-                          const std::string& compact_report) {
+                          double elapsed_ms) {
   std::string out = "{\"type\": \"result\", \"id\": \"";
   out += obs::json_escape(id);
   out += "\", \"cache\": \"";
@@ -327,9 +302,6 @@ std::string render_result(const std::string& id, const ExperimentSummary& s,
   out += ", \"first_detect_hash\": \"" + hash_first_detects(s.first_detect) +
          "\"";
   out += ", \"elapsed_ms\": " + fmt_double(elapsed_ms);
-  if (!compact_report.empty()) {
-    out += ", \"report\": " + compact_report;
-  }
   out += "}";
   return out;
 }

@@ -6,18 +6,21 @@
 // over one connection can pair them up. Responses:
 //
 //   {"type":"progress","id":...,"event":{...}}   journal events, streamed
-//   {"type":"result","id":...,"cache":"hit"|"miss",...,"report":{...}}
+//   {"type":"result","id":...,"cache":"hit"|"miss",...,"elapsed_ms":...}
 //   {"type":"error","id":...,"message":"..."}
 //   {"type":"pong","id":...}
 //   {"type":"stats","id":...,"cache_hits":...,"latency":{...},
 //    "scheduler":{...}}                          see ServiceStats
 //   {"type":"bye","id":...}                      shutdown acknowledged
 //
-// The "report" member of a result embeds the full schema-v4 run report
-// (obs/run_report.hpp) compacted to one line. Identity fields "detect_hash"
-// and "first_detect_hash" fingerprint the per-fault detect counts and
-// first-detect attribution so clients (and CI) can assert that a cache hit
-// is bit-identical to a cold run without shipping the whole matrix.
+// A result answers its own request only: target, experiment key, counts,
+// coverage, the identity fields and elapsed_ms. Its size does not depend on
+// how long the daemon has run; the process-wide schema-v4 run report
+// (obs/run_report.hpp) is written once, at shutdown (fbt_serve --report).
+// Identity fields "detect_hash" and "first_detect_hash" fingerprint the
+// per-fault detect counts and first-detect attribution so clients (and CI)
+// can assert that a cache hit is bit-identical to a cold run without
+// shipping the whole matrix.
 //
 // Parsing reuses the obs/json DOM reader; rendering is by hand like the
 // rest of the repo's writers (fixed key order, deterministic).
@@ -55,8 +58,9 @@ struct Request {
 /// Parses one request line. Returns false and fills `error` on malformed
 /// input (unknown type, bad JSON, missing target) and on a config outside
 /// the fixed work caps: an odd segment_length or one below 2, LFSR/MISR
-/// stages outside the primitive-polynomial table, or bias bits, cycle,
-/// sequence, failure or thread counts above a constant cap. Config fields
+/// stages outside the primitive-polynomial table, bias bits, cycle,
+/// sequence, failure or thread counts above a constant cap, or a zero
+/// detect_limit, scan_max_chains or scan_min_chain_length. Config fields
 /// absent from the request keep BistExperimentConfig defaults.
 bool parse_request(const std::string& line, Request& out, std::string& error);
 
@@ -68,10 +72,6 @@ std::string check_config(const BistExperimentConfig& cfg);
 std::string hash_detect_counts(const std::vector<std::uint32_t>& counts);
 /// Hex fingerprint of the first-detect attribution records.
 std::string hash_first_detects(const std::vector<FaultFirstDetect>& fd);
-
-/// Collapses pretty-printed JSON to one line (newlines and indentation
-/// outside string literals are dropped), for embedding reports in NDJSON.
-std::string compact_json(const std::string& pretty);
 
 /// Everything a result line carries; also the cache's experiment-entry
 /// payload (a warm hit re-renders a stored summary).
@@ -145,8 +145,7 @@ std::string render_progress(const std::string& id,
                             const obs::JournalEvent& event);
 std::string render_result(const std::string& id, const ExperimentSummary& s,
                           bool cache_hit, const std::string& experiment_key,
-                          double elapsed_ms,
-                          const std::string& compact_report);
+                          double elapsed_ms);
 std::string render_error(const std::string& id, const std::string& message);
 std::string render_pong(const std::string& id);
 std::string render_bye(const std::string& id);

@@ -14,7 +14,6 @@
 #include "netlist/bench_io.hpp"
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
-#include "obs/run_report.hpp"
 
 namespace fbt::serve {
 
@@ -45,10 +44,11 @@ LatencyStats latency_from(const obs::MetricsSnapshot& snap,
 /// cursor.
 void drain_journal(std::size_t& cursor, const std::string& id,
                    const std::function<void(const std::string&)>& emit) {
-  const std::vector<obs::JournalEvent> events = obs::journal().events();
-  for (; cursor < events.size(); ++cursor) {
-    emit(render_progress(id, events[cursor]));
+  const std::vector<obs::JournalEvent> events = obs::journal().events(cursor);
+  for (const obs::JournalEvent& event : events) {
+    emit(render_progress(id, event));
   }
+  cursor += events.size();
 }
 
 }  // namespace
@@ -110,12 +110,31 @@ std::shared_ptr<const Netlist> ExperimentService::fetch_netlist(
       [](const Netlist& n) { return n.footprint_bytes(); });
 }
 
+ExperimentService::ResolvedNetlist ExperimentService::resolve_named(
+    const std::string& name, bool need_netlist) {
+  ResolvedNetlist out;
+  const std::string alias = "bench:" + name;
+  if (const std::optional<CacheKey> k = cache_.alias(alias)) {
+    out.key = *k;
+    if (need_netlist) {
+      out.netlist =
+          fetch_netlist(out.key, [&name] { return load_benchmark(name); });
+    }
+    return out;
+  }
+  Netlist loaded = load_benchmark(name);
+  out.key = netlist_cache_key(loaded);
+  cache_.remember_alias(alias, out.key);
+  out.netlist = fetch_netlist(out.key, [&loaded] { return std::move(loaded); });
+  return out;
+}
+
 ExperimentService::ResolvedNetlist ExperimentService::resolve_target(
     const ExperimentRequest& request, bool need_netlist) {
-  ResolvedNetlist out;
   if (!request.netlist_bench.empty()) {
     // Inline text: canonicalize through parse (write_bench inside the key
     // function makes whitespace/comment variants collide on purpose).
+    ResolvedNetlist out;
     auto parsed = std::make_shared<Netlist>(parse_bench(
         request.netlist_bench,
         request.target.empty() ? std::string("inline") : request.target));
@@ -124,20 +143,7 @@ ExperimentService::ResolvedNetlist ExperimentService::resolve_target(
         fetch_netlist(out.key, [&parsed] { return std::move(*parsed); });
     return out;
   }
-  const std::string alias = "bench:" + request.target;
-  if (const std::optional<CacheKey> k = cache_.alias(alias)) {
-    out.key = *k;
-    if (need_netlist) {
-      out.netlist = fetch_netlist(
-          out.key, [&request] { return load_benchmark(request.target); });
-    }
-    return out;
-  }
-  Netlist loaded = load_benchmark(request.target);
-  out.key = netlist_cache_key(loaded);
-  cache_.remember_alias(alias, out.key);
-  out.netlist = fetch_netlist(out.key, [&loaded] { return std::move(loaded); });
-  return out;
+  return resolve_named(request.target, need_netlist);
 }
 
 ExperimentService::ResolvedNetlist ExperimentService::resolve_driver(
@@ -145,26 +151,10 @@ ExperimentService::ResolvedNetlist ExperimentService::resolve_driver(
     bool need_netlist) {
   const bool unconstrained =
       request.driver.empty() || request.driver == "buffers";
-  ResolvedNetlist out;
-  if (!unconstrained) {
-    const std::string alias = "bench:" + request.driver;
-    if (const std::optional<CacheKey> k = cache_.alias(alias)) {
-      out.key = *k;
-      if (need_netlist) {
-        out.netlist = fetch_netlist(
-            out.key, [&request] { return load_benchmark(request.driver); });
-      }
-      return out;
-    }
-    Netlist loaded = load_benchmark(request.driver);
-    out.key = netlist_cache_key(loaded);
-    cache_.remember_alias(alias, out.key);
-    out.netlist =
-        fetch_netlist(out.key, [&loaded] { return std::move(loaded); });
-    return out;
-  }
+  if (!unconstrained) return resolve_named(request.driver, need_netlist);
   // Buffers block: a pure function of the target's input count, aliased per
   // target so repeat requests never rebuild it.
+  ResolvedNetlist out;
   const std::string alias = "buffers-for:" + target.key.hex();
   if (const std::optional<CacheKey> k = cache_.alias(alias)) {
     out.key = *k;
@@ -231,14 +221,6 @@ ExperimentSummary ExperimentService::run_experiment(
     // Derived artifacts, each cached under its own content key.
     artifacts.target = target.netlist;
     artifacts.driver = driver.netlist;
-    artifacts.flat = cache_.get_or_compute<FlatFanins>(
-        "flat_fanins", flat_fanins_cache_key(target.key),
-        // The view constructor taking shared_ptr keeps the netlist alive for
-        // as long as the cached FlatFanins is: the cache may evict the
-        // netlist entry independently, and the view's spans point into
-        // netlist-owned CSR storage.
-        [&] { return std::make_shared<const FlatFanins>(target.netlist); },
-        [](const FlatFanins& f) { return f.footprint_bytes(); });
     artifacts.faults = cache_.get_or_compute<TransitionFaultList>(
         "fault_list", fault_list_cache_key(target.key),
         [&] {
@@ -253,7 +235,7 @@ ExperimentSummary ExperimentService::run_experiment(
             [&] {
               return std::make_shared<const double>(
                   measure_swa_func(*target.netlist, *driver.netlist,
-                                   config.calibration, artifacts.flat)
+                                   config.calibration)
                       .peak_percent);
             },
             [](const double&) { return std::uint64_t{sizeof(double)}; });
@@ -338,12 +320,8 @@ bool ExperimentService::handle_line(
         run_experiment(request.experiment, &hit, emit, request.id, &key_hex);
     const double elapsed_ms = ms_since(start);
     const auto render_t0 = std::chrono::steady_clock::now();
-    const std::string report = compact_json(render_run_report(
-        obs::collect_run_report(
-            "fbt_serve", {{"target", summary.target},
-                          {"cache", hit ? "hit" : "miss"}})));
     const std::string line_out =
-        render_result(request.id, summary, hit, key_hex, elapsed_ms, report);
+        render_result(request.id, summary, hit, key_hex, elapsed_ms);
     FBT_OBS_HIST_RECORD_LOG("serve.request_render_ms", ms_since(render_t0));
     emit(line_out);
     // Totals keyed cold vs warm: the two populations differ by orders of

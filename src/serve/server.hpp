@@ -7,11 +7,13 @@
 //      name -> key memo makes repeat requests for named benchmarks O(1));
 //   2. look up the experiment key -- a hit renders the stored summary
 //      without touching the flow (the >= 10x warm path);
-//   3. on a miss, fetch the derived artifacts (FlatFanins CSR, collapsed
-//      fault list, SWA_func calibration) through the cache and run the flow
-//      task graph on the shared pool, streaming journal events as progress
-//      lines while it executes;
-//   4. store the summary under the experiment key and render it.
+//   3. on a miss, fetch the derived artifacts (collapsed fault list,
+//      SWA_func calibration) through the cache and run the flow task graph
+//      on the shared pool, streaming journal events as progress lines while
+//      it executes;
+//   4. store the summary under the experiment key and render it. A result
+//      line carries only the request's own fields; the process-wide run
+//      report is written once, at shutdown.
 //
 // Determinism note: cached experiment keys EXCLUDE num_threads and
 // speculation_lanes (results are bit-identical across them), so a request
@@ -81,6 +83,9 @@ class ExperimentService {
     CacheKey key;
     std::shared_ptr<const Netlist> netlist;  ///< may be null on alias hit
   };
+  /// Registry benchmark by name, through the "bench:<name>" alias memo: a
+  /// remembered alias skips the load unless the netlist itself is needed.
+  ResolvedNetlist resolve_named(const std::string& name, bool need_netlist);
   /// Target by inline text (canonicalized via parse) or registry name.
   ResolvedNetlist resolve_target(const ExperimentRequest& request,
                                  bool need_netlist);

@@ -27,6 +27,21 @@ TEST(EventJournal, AssignsDenseSequenceNumbers) {
   EXPECT_EQ(j.events()[0].seq, 0u);  // numbering restarts
 }
 
+TEST(EventJournal, EventsFromIndexReturnsTheTail) {
+  EventJournal j;
+  j.emit("a", {});
+  j.emit("b", {});
+  j.emit("c", {});
+  EXPECT_EQ(j.events(0).size(), 3u);
+  const std::vector<JournalEvent> tail = j.events(1);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].seq, 1u);
+  EXPECT_EQ(tail[0].type, "b");
+  EXPECT_EQ(tail[1].type, "c");
+  EXPECT_TRUE(j.events(j.size()).empty());
+  EXPECT_TRUE(j.events(j.size() + 5).empty());
+}
+
 TEST(EventJournal, RendersTypedFieldsAsOneJsonLine) {
   EventJournal j;
   j.emit("seed_tried", {{"seed", 123u},

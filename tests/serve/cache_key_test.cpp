@@ -144,10 +144,11 @@ TEST(CacheKey, DerivedArtifactKeysAreDistinctPerKind) {
   const SwaCalibrationConfig cal;
   const CacheKey cal_key = calibration_cache_key(target, driver, cal);
   const CacheKey faults = fault_list_cache_key(target);
-  const CacheKey flat = flat_fanins_cache_key(target);
+  const CacheKey experiment =
+      experiment_cache_key(target, driver, base_config());
   EXPECT_NE(cal_key, faults);
-  EXPECT_NE(cal_key, flat);
-  EXPECT_NE(faults, flat);
+  EXPECT_NE(cal_key, experiment);
+  EXPECT_NE(faults, experiment);
 }
 
 TEST(CacheKey, CalibrationKeyFlipsOnConfig) {

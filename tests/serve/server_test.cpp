@@ -252,7 +252,7 @@ TEST(ExperimentService, ConcurrentRequestsMultiplexOnePool) {
   EXPECT_EQ(fx.service.requests_total(), kClients);
 }
 
-TEST(ExperimentService, HandleLineExperimentEmitsResultWithReport) {
+TEST(ExperimentService, HandleLineExperimentEmitsResultWithoutReport) {
   Fixture fx;
   std::vector<std::string> lines;
   const auto emit = [&lines](const std::string& l) { lines.push_back(l); };
@@ -269,13 +269,56 @@ TEST(ExperimentService, HandleLineExperimentEmitsResultWithReport) {
   EXPECT_NE(result.find("\"id\": \"e1\""), std::string::npos);
   EXPECT_NE(result.find("\"cache\": \"miss\""), std::string::npos);
   EXPECT_NE(result.find("\"detect_hash\": \""), std::string::npos);
-  EXPECT_NE(result.find("\"report\": {"), std::string::npos);
-  // NDJSON framing: the embedded report must be compacted to one line.
+  // The process-wide run report is written at shutdown, not per result.
+  EXPECT_EQ(result.find("\"report\""), std::string::npos);
   EXPECT_EQ(result.find('\n'), std::string::npos);
 
   lines.clear();
   EXPECT_TRUE(fx.service.handle_line(line, emit));
   EXPECT_NE(lines.back().find("\"cache\": \"hit\""), std::string::npos);
+}
+
+/// `line` with its "elapsed_ms" member removed (the one field of a result
+/// that legitimately differs between two answers to the same request).
+std::string without_elapsed(const std::string& line) {
+  const std::size_t at = line.find(", \"elapsed_ms\": ");
+  if (at == std::string::npos) return line;
+  const std::size_t end = line.find_first_of(",}", at + 2);
+  return line.substr(0, at) + line.substr(end);
+}
+
+TEST(ExperimentService, ResultLineDoesNotGrowWithUptime) {
+  // A hit answered after the daemon has served other requests must be the
+  // same line as the first hit: nothing process-wide rides in a result.
+  Fixture fx;
+  std::vector<std::string> lines;
+  const auto emit = [&lines](const std::string& l) { lines.push_back(l); };
+  const auto request_line = [](int rng_seed) {
+    return std::string(
+               R"({"type": "experiment", "id": "a", "target": "s298", )"
+               R"("driver": "buffers", "stream_progress": false, "config": )"
+               R"({"cal_sequences": 4, "cal_length": 400, )"
+               R"("segment_length": 200, "max_segment_failures": 2, )"
+               R"("max_sequence_failures": 2, "rng_seed": )") +
+           std::to_string(rng_seed) + "}}";
+  };
+  const auto answer = [&](int rng_seed) {
+    lines.clear();
+    EXPECT_TRUE(fx.service.handle_line(request_line(rng_seed), emit));
+    EXPECT_EQ(lines.size(), 1u);
+    return lines.empty() ? std::string() : lines.back();
+  };
+
+  answer(19);
+  const std::string first_hit = answer(19);
+  ASSERT_NE(first_hit.find("\"cache\": \"hit\""), std::string::npos);
+  for (int seed = 20; seed < 24; ++seed) {
+    EXPECT_NE(answer(seed).find("\"cache\": \"miss\""), std::string::npos)
+        << seed;
+  }
+  const std::string repeat_hit = answer(19);
+  EXPECT_EQ(without_elapsed(repeat_hit), without_elapsed(first_hit));
+  EXPECT_NE(without_elapsed(first_hit), first_hit);
 }
 
 TEST(ExperimentService, InlineNetlistSharesKeyWithTextualVariant) {
@@ -315,6 +358,8 @@ TEST(ExperimentService, ConfigOutsideTheWorkCapsIsAnErrorAndServingContinues) {
       R"("cal_lfsr_stages": 33)",          R"("tpg_lfsr_stages": 4294967298)",
       R"("rtl_misr_stages": 0)",           R"("tpg_bias_bits": 1e9)",
       R"("num_threads": 100000000)",       R"("num_threads": 65)",
+      R"("detect_limit": 0)",              R"("scan_max_chains": 0)",
+      R"("scan_min_chain_length": 0)",
   };
   for (const char* field : absurd) {
     lines.clear();
