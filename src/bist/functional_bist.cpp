@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bist/packed_candidates.hpp"
 #include "fault/fault_sim.hpp"
 #include "obs/instrument.hpp"
 #include "sim/seqsim.hpp"
@@ -27,8 +26,6 @@ FunctionalBistGenerator::FunctionalBistGenerator(
           "FunctionalBistGenerator", "segment length L must be even and >= 2");
   require(config.max_segment_failures >= 1 && config.max_sequence_failures >= 1,
           "FunctionalBistGenerator", "R and Q must be >= 1");
-  require(config.speculation_lanes >= 1, "FunctionalBistGenerator",
-          "speculation_lanes (W) must be >= 1");
   if (!config.hold_set.empty()) {
     require(config.hold_period_log2 >= 1, "FunctionalBistGenerator",
             "hold_period_log2 (h) must be >= 1 when a hold set is given");
@@ -39,18 +36,11 @@ FunctionalBistGenerator::FunctionalBistGenerator(
       hold_mask_[flop] = 1;
     }
   }
-  if (config.speculation_lanes >= 2 &&
-      PackedCandidateEngine::supports(config)) {
-    engine_ = std::make_unique<PackedCandidateEngine>(
-        netlist, tpg_, config, config.speculation_lanes);
-  }
   vec_scratch_.resize(netlist.num_inputs());
 }
 
-FunctionalBistGenerator::~FunctionalBistGenerator() = default;
-
-CandidateSegment FunctionalBistGenerator::evaluate_candidate(
-    SeqSim& sim, std::uint32_t seed) {
+FunctionalBistGenerator::CandidateSegment
+FunctionalBistGenerator::evaluate_candidate(SeqSim& sim, std::uint32_t seed) {
   const std::size_t L = config_.segment_length;
   const bool holding = !hold_mask_.empty();
   const std::size_t hold_period =
@@ -128,15 +118,6 @@ CandidateSegment FunctionalBistGenerator::evaluate_candidate(
   return result;
 }
 
-void FunctionalBistGenerator::advance_segment(SeqSim& sim, std::uint32_t seed,
-                                              std::size_t cycles) {
-  tpg_.reseed(seed);
-  for (std::size_t c = 0; c < cycles; ++c) {
-    tpg_.next_vector_into(vec_scratch_);
-    sim.step(vec_scratch_);
-  }
-}
-
 FunctionalBistResult FunctionalBistGenerator::run(
     const TransitionFaultList& faults,
     std::vector<std::uint32_t>& detect_count) {
@@ -153,8 +134,7 @@ FunctionalBistResult FunctionalBistGenerator::run(
 
   // Provenance bookkeeping: applied-test stream position and the running
   // detected-fault count (faults at the detect limit), both advanced only by
-  // accepted segments so the journal is identical across thread counts and
-  // speculation widths.
+  // accepted segments so the journal is identical across thread counts.
   std::size_t applied_tests = 0;
   std::size_t cumulative_detected = 0;
   for (const std::uint32_t c : detect_count) {
@@ -178,64 +158,13 @@ FunctionalBistResult FunctionalBistGenerator::run(
     std::vector<std::uint32_t> committed = detect_count;
 
     while (segment_failures < config_.max_segment_failures) {
-      std::uint32_t seed = 0;
-      CandidateSegment candidate;
-      bool took_from_batch = false;
-      bool fresh_batch = false;
-      if (engine_ != nullptr && engine_->pending_matches(sim)) {
-        // Walk the current speculated batch strictly in seed order. Failed
-        // candidates leave the simulator untouched, so the remaining lanes
-        // stay valid; any state change (acceptance, or a sequence restart
-        // from a different state) makes pending_matches reject the batch.
-        seed = engine_->pending_seed();
-        require(!seed_queue_.empty() && seed_queue_.front() == seed,
-                "FunctionalBistGenerator::run",
-                "internal: speculation batch out of sync with the seed queue");
-        seed_queue_.erase(seed_queue_.begin());
-        candidate = engine_->take_pending();
-        took_from_batch = true;
-      } else if (engine_ != nullptr && segment_failures > 0) {
-        // A failure just restored this exact state, so more consecutive
-        // failures are likely: evaluate a whole batch of pre-drawn seeds in
-        // one packed pass. (A packed pass costs about the same regardless of
-        // how many lanes end up consumed, so speculating right after an
-        // acceptance -- when the next candidate usually succeeds -- would
-        // mostly waste the batch; the first attempt stays scalar instead.)
-        while (seed_queue_.size() < engine_->lanes()) {
-          seed_queue_.push_back(static_cast<std::uint32_t>(rng_.next() | 1u));
-        }
-        engine_->speculate(sim, seed_queue_);
-        seed = engine_->pending_seed();
-        seed_queue_.erase(seed_queue_.begin());
-        candidate = engine_->take_pending();
-        took_from_batch = true;
-        fresh_batch = true;
-      } else {
-        // Scalar reference evaluation. With the engine active the seeds still
-        // come from the shared pre-draw queue so the stream order is
-        // identical whichever path evaluates a given candidate.
-        if (engine_ != nullptr) {
-          if (seed_queue_.empty()) {
-            seed_queue_.push_back(static_cast<std::uint32_t>(rng_.next() | 1u));
-          }
-          seed = seed_queue_.front();
-          seed_queue_.erase(seed_queue_.begin());
-        } else {
-          seed = static_cast<std::uint32_t>(rng_.next() | 1u);
-        }
-        sim.snapshot_into(before_snap_);
-        candidate = evaluate_candidate(sim, seed);
-      }
-      if (fresh_batch) {
-        FBT_OBS_EVENT("speculation_batch",
-                      {{"sequence", result.sequences.size()},
-                       {"lanes", engine_->lanes()}});
-      }
+      const auto seed = static_cast<std::uint32_t>(rng_.next() | 1u);
+      sim.snapshot_into(before_snap_);
+      CandidateSegment candidate = evaluate_candidate(sim, seed);
       FBT_OBS_EVENT("seed_tried",
                     {{"sequence", result.sequences.size()},
                      {"segment", sequence.segments.size()},
                      {"seed", seed},
-                     {"source", took_from_batch ? "packed" : "scalar"},
                      {"usable_cycles", candidate.usable_cycles},
                      {"tests", candidate.tests.size()},
                      {"peak_swa", candidate.peak_swa}});
@@ -308,20 +237,11 @@ FunctionalBistResult FunctionalBistGenerator::run(
       }
       if (accepted) {
         FBT_OBS_COUNTER_ADD("bist.segments_accepted", 1);
+        // The simulator already sits at the end of the accepted prefix.
         segment_failures = 0;
-        if (took_from_batch) {
-          // Position the scalar simulator at the end of the accepted prefix;
-          // the untried speculated lanes are stale now (the trajectory
-          // continues from a new state) and are discarded.
-          advance_segment(sim, seed, candidate.usable_cycles);
-        }
-        // After a scalar evaluation the simulator already sits at the end of
-        // the usable prefix; any stale batch is dead either way.
-        if (engine_ != nullptr) engine_->invalidate();
       } else {
-        // A batch candidate never touched the simulator; a scalar evaluation
-        // left it at the end of the rejected prefix and must be rewound.
-        if (!took_from_batch) sim.restore(before_snap_);
+        // Rewind the rejected prefix; the next seed starts from this state.
+        sim.restore(before_snap_);
         ++segment_failures;
       }
     }

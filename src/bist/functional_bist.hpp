@@ -65,12 +65,8 @@ struct FunctionalBistConfig {
   /// concurrency). Results are bit-identical for any value; 1 walks each
   /// block on the calling thread.
   std::size_t num_threads = 1;
-  /// Speculation width W of the candidate-seed search: the packed engine
-  /// pre-draws W seeds and evaluates all W candidate trajectories in one
-  /// bit-parallel pass (clamped to 64; lanes are walked strictly in seed
-  /// order, so results are bit-identical to the scalar search for any value).
-  /// 1 keeps the scalar reference loop; state-holding and pattern-store
-  /// configurations fall back to scalar automatically.
+  /// Ignored: the candidate-seed search tries one seed at a time. Kept only
+  /// because the fbtbench harness still assigns it.
   std::size_t speculation_lanes = 64;
   /// Fault lanes packed per machine word by the grader (PPSFP;
   /// clamped to [1, 64]). Detect counts, detection matrices, and first-detect
@@ -83,16 +79,6 @@ struct FunctionalBistConfig {
   /// within-segment index is divisible by 2^h. Empty hold_set disables it.
   unsigned hold_period_log2 = 0;
   std::vector<std::size_t> hold_set;
-};
-
-/// One evaluated candidate segment: the usable (SWA-clean, even-length)
-/// prefix length, its extracted broadside tests, and the peak SWA over the
-/// prefix. Produced by the scalar reference loop and, bit-identically, by the
-/// packed speculation engine.
-struct CandidateSegment {
-  std::size_t usable_cycles = 0;
-  TestSet tests;
-  double peak_swa = 0.0;
 };
 
 /// Provenance of one fault's first detection during run(): which committed
@@ -119,11 +105,9 @@ struct FunctionalBistResult {
   double peak_swa = 0.0;       ///< peak SWA % over all applied cycles
   std::size_t newly_detected = 0;
   /// One entry per fault: first-detect attribution. Bit-identical across
-  /// num_threads and speculation_lanes (the search itself is).
+  /// num_threads (the search itself is).
   std::vector<FaultFirstDetect> first_detect;
 };
-
-class PackedCandidateEngine;
 
 class FunctionalBistGenerator {
  public:
@@ -137,13 +121,8 @@ class FunctionalBistGenerator {
                           const FunctionalBistConfig& config,
                           std::shared_ptr<const FlatFanins> flat,
                           jobs::JobSystem* jobs);
-  ~FunctionalBistGenerator();
 
   const Tpg& tpg() const { return tpg_; }
-
-  /// Whether the packed speculation engine is active (speculation_lanes >= 2
-  /// and neither state holding nor a pattern store forces the scalar path).
-  bool speculating() const { return engine_ != nullptr; }
 
   /// Runs the construction procedure. `detect_count` (one entry per fault in
   /// `faults`) carries detection credit in and out: faults already at the
@@ -152,18 +131,19 @@ class FunctionalBistGenerator {
   FunctionalBistResult run(const TransitionFaultList& faults,
                            std::vector<std::uint32_t>& detect_count);
 
-  /// Scalar reference evaluation of one candidate segment from the
-  /// simulator's current state; the simulator is left positioned at the end
-  /// of the usable prefix. Public for the packed engine's equivalence tests
-  /// and the seed-search benchmark.
-  CandidateSegment evaluate_candidate(class SeqSim& sim, std::uint32_t seed);
-
  private:
-  /// Replays an accepted speculated segment on the scalar simulator to
-  /// position it at the end of the usable prefix (no bound checks: the
-  /// packed pass already proved the prefix clean).
-  void advance_segment(class SeqSim& sim, std::uint32_t seed,
-                       std::size_t cycles);
+  /// One evaluated candidate segment: the usable (SWA-clean, even-length)
+  /// prefix length, its extracted broadside tests, and the peak SWA over the
+  /// prefix.
+  struct CandidateSegment {
+    std::size_t usable_cycles = 0;
+    TestSet tests;
+    double peak_swa = 0.0;
+  };
+
+  /// Evaluates one candidate segment from the simulator's current state; the
+  /// simulator is left positioned at the end of the usable prefix.
+  CandidateSegment evaluate_candidate(SeqSim& sim, std::uint32_t seed);
 
   const Netlist* netlist_;
   FunctionalBistConfig config_;
@@ -172,8 +152,6 @@ class FunctionalBistGenerator {
   Tpg tpg_;
   Pcg32 rng_;
   std::vector<std::uint8_t> hold_mask_;  ///< per flop; empty when no holding
-  std::unique_ptr<PackedCandidateEngine> engine_;  ///< null => scalar search
-  std::vector<std::uint32_t> seed_queue_;  ///< pre-drawn seeds, front = next
 
   // Scratch reused across candidate evaluations (heap-churn control).
   std::vector<std::uint8_t> pending_v1_;  ///< v1 of the open test

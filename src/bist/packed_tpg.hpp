@@ -8,6 +8,9 @@
 // LFSR steps, and the biased input taps reduce to word AND/OR over the same
 // tap positions the scalar Tpg uses. Each lane reproduces a scalar Tpg
 // reseeded with that lane's seed, bit for bit.
+//
+// No product code calls it yet. Its planned caller is packed SWA_func
+// calibration (one lane per calibration sequence), next to PackedSeqSim.
 #pragma once
 
 #include <cstdint>

@@ -69,7 +69,6 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
   gen.swa_bound_percent = swa_func;
   gen.bounded = !unconstrained;
   gen.num_threads = config.num_threads;
-  gen.speculation_lanes = config.speculation_lanes;
   gen.fault_pack_width = config.fault_pack_width;
 
   ScanChains scan(target, config.scan);
@@ -182,8 +181,6 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
 
   FBT_OBS_GAUGE_SET("flow.num_threads",
                     jobs::JobSystem::resolve_threads(config.num_threads));
-  FBT_OBS_GAUGE_SET("flow.speculation_lanes", config.speculation_lanes);
-  FBT_OBS_GAUGE_SET("flow.fault_pack_width", config.fault_pack_width);
   FBT_OBS_GAUGE_SET("flow.num_tests", result.run.num_tests);
   FBT_OBS_GAUGE_SET("flow.num_seeds", result.run.num_seeds);
   FBT_OBS_GAUGE_SET("flow.swa_func_percent", result.swa_func);

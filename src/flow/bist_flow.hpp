@@ -35,9 +35,8 @@ struct BistExperimentConfig {
   /// segments and sequence reduction). 0 = hardware concurrency; results are
   /// bit-identical for any value. Overrides generation.num_threads.
   std::size_t num_threads = 1;
-  /// Speculation width W for the candidate-seed search (packed lane-parallel
-  /// evaluation, clamped to 64). 1 forces the scalar reference loop; results
-  /// are bit-identical for any value. Overrides generation.speculation_lanes.
+  /// Ignored: the candidate-seed search tries one seed at a time. Kept only
+  /// because the fbtbench harness still assigns it.
   std::size_t speculation_lanes = 64;
   /// Fault lanes packed per machine word by the fault grader (PPSFP,
   /// clamped to [1, 64]); applies to every fault-grading step of the flow.

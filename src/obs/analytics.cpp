@@ -37,17 +37,9 @@ double field_double(const JournalEvent& e, const char* key,
   return fallback;
 }
 
-std::uint64_t counter_value(const MetricsSnapshot& metrics, const char* name) {
-  for (const CounterSample& c : metrics.counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
 }  // namespace
 
 RunAnalytics derive_analytics(const std::vector<JournalEvent>& events,
-                              const MetricsSnapshot& metrics,
                               std::size_t max_convergence_points) {
   RunAnalytics out;
   for (const JournalEvent& e : events) {
@@ -79,12 +71,6 @@ RunAnalytics derive_analytics(const std::vector<JournalEvent>& events,
     }
     out.convergence = std::move(sampled);
   }
-
-  out.speculation.batches = counter_value(metrics, "bist.speculation_batches");
-  out.speculation.lanes_evaluated =
-      counter_value(metrics, "bist.speculated_lanes");
-  out.speculation.hits = counter_value(metrics, "bist.speculation_hits");
-  out.speculation.wasted = counter_value(metrics, "bist.speculation_wasted");
   return out;
 }
 

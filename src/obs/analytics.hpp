@@ -1,16 +1,14 @@
-// Derived run analytics: pure functions of the event journal and a metrics
-// snapshot that turn raw provenance events into the summaries a human (or
-// the fbt_report dashboard) actually reads -- the coverage-over-tests
-// convergence curve, the per-segment yield table, and the speculation
-// efficiency totals. Rendered into every run report under the "analytics"
-// key (schema version 2).
+// Derived run analytics: pure functions of the event journal that turn raw
+// provenance events into the summaries a human (or the fbt_report
+// dashboard) actually reads -- the coverage-over-tests convergence curve and
+// the per-segment yield table. Rendered into every run report under the
+// "analytics" key (schema version 2).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "obs/event_journal.hpp"
-#include "obs/metrics.hpp"
 
 namespace fbt::obs {
 
@@ -35,28 +33,16 @@ struct SegmentYieldRow {
   bool operator==(const SegmentYieldRow&) const = default;
 };
 
-/// Packed candidate-seed search efficiency (zeros when the scalar path ran).
-struct SpeculationSummary {
-  std::uint64_t batches = 0;
-  std::uint64_t lanes_evaluated = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t wasted = 0;
-
-  bool operator==(const SpeculationSummary&) const = default;
-};
-
 struct RunAnalytics {
   std::vector<ConvergencePoint> convergence;
   std::vector<SegmentYieldRow> segment_yield;
-  SpeculationSummary speculation;
 };
 
 /// Derives analytics from journal events ("grade_block" -> convergence,
-/// "seed_accepted" -> yield rows) and the speculation counters in `metrics`.
-/// The convergence curve is downsampled to at most `max_convergence_points`
-/// (always keeping the final point). Deterministic.
+/// "seed_accepted" -> yield rows). The convergence curve is downsampled to
+/// at most `max_convergence_points` (always keeping the final point).
+/// Deterministic.
 RunAnalytics derive_analytics(const std::vector<JournalEvent>& events,
-                              const MetricsSnapshot& metrics,
                               std::size_t max_convergence_points = 128);
 
 }  // namespace fbt::obs

@@ -9,8 +9,8 @@
 //  * deterministic -- library code emits events only from the construction
 //    loop's single-threaded control flow (worker threads fill provenance
 //    structs that are merged deterministically first), so the journal is
-//    bit-identical across num_threads and speculation_lanes for the
-//    deterministic event subset (see DESIGN.md "Provenance & convergence");
+//    bit-identical across num_threads for the deterministic event subset
+//    (see DESIGN.md "Provenance & convergence");
 //  * compiled out -- the FBT_OBS_EVENT macro in obs/instrument.hpp is a
 //    no-op when the build sets FBT_OBS_ENABLED=0. The classes here stay
 //    available in both builds so tools and tests can use them directly.

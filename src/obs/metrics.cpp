@@ -123,12 +123,6 @@ void register_core_counters() {
   reg.counter("atpg.podem_backtracks");
   reg.counter("fault.faults_dropped");
   reg.counter("flow.faults_detected");
-  // Speculative seed search: registered here so the scalar configuration
-  // still reports them as zeros instead of omitting them.
-  reg.counter("bist.speculated_lanes");
-  reg.counter("bist.speculation_hits");
-  reg.counter("bist.speculation_wasted");
-  reg.counter("bist.speculation_batches");
   // PPSFP packed fault grading: pack-efficiency counters, registered so
   // serial configurations (pack width 1) still report them as zeros.
   reg.counter("fault.pack_groups_simulated");
@@ -166,8 +160,6 @@ void register_core_counters() {
   reg.histogram("serve.request_total_warm_ms",
                 Histogram::log_latency_ms_bounds());
   reg.gauge("flow.num_threads");
-  reg.gauge("flow.speculation_lanes");
-  reg.gauge("flow.fault_pack_width");
   reg.gauge("flow.fault_coverage_percent");
   reg.gauge("flow.num_tests");
   reg.gauge("flow.num_seeds");

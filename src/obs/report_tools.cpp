@@ -607,11 +607,6 @@ std::string render_html_dashboard(const JsonValue& report,
   out << "<h2>Segment yield</h2>\n";
   html_segment_yield(report, out);
 
-  out << "<h2>Speculation</h2>\n";
-  const JsonValue* analytics = report.find("analytics");
-  html_kv_table(analytics != nullptr ? analytics->find("speculation") : nullptr,
-                out);
-
   out << "<h2>Serving</h2>\n";
   html_serving_panel(report, out);
 

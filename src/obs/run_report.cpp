@@ -93,7 +93,7 @@ RunReportData collect_run_report(
   data.config = config;
   data.phases = PhaseTrace::instance().summarize();
   data.metrics = registry().snapshot();
-  data.analytics = derive_analytics(journal().events(), data.metrics);
+  data.analytics = derive_analytics(journal().events());
   // "jobs" utilization (schema v4) from the pre-registered scheduler
   // metrics; elapsed is wall time since the trace epoch, which a JobSystem
   // constructor establishes before any task runs.
@@ -227,12 +227,7 @@ std::string render_run_report(const RunReportData& data) {
                r.sequence, r.segment, r.seed, r.tests, r.newly_detected);
     out += json_number(r.peak_swa) + "}";
   }
-  out += data.analytics.segment_yield.empty() ? "],\n" : "\n    ],\n";
-  const SpeculationSummary& sp = data.analytics.speculation;
-  out += fmt("    \"speculation\": {\"batches\": %" PRIu64
-             ", \"lanes_evaluated\": %" PRIu64 ", \"hits\": %" PRIu64
-             ", \"wasted\": %" PRIu64 "}\n",
-             sp.batches, sp.lanes_evaluated, sp.hits, sp.wasted);
+  out += data.analytics.segment_yield.empty() ? "]\n" : "\n    ]\n";
   out += "  },\n";
 
   const JobsSummary& jobs = data.jobs;

@@ -5,11 +5,11 @@
 // perf trajectory is diffable across PRs (`tools/fbt_report diff` gates CI
 // on them).
 //
-// Schema (version 4) -- keys are emitted in this fixed order, metric and
+// Schema (version 5) -- keys are emitted in this fixed order, metric and
 // config keys sorted by name, so reports diff cleanly:
 //
 //   {
-//     "schema_version": 4,
+//     "schema_version": 5,
 //     "tool": "bench_table4_1",
 //     "git_sha": "abc1234",
 //     "timestamp_utc": "2026-08-05T12:00:00Z",
@@ -28,9 +28,7 @@
 //       "convergence": [{"tests": 64, "detected": 321}, ...],
 //       "segment_yield": [{"sequence": 0, "segment": 0, "seed": 123,
 //                          "tests": 100, "newly_detected": 42,
-//                          "peak_swa": 12.5}, ...],
-//       "speculation": {"batches": 1, "lanes_evaluated": 64, "hits": 3,
-//                       "wasted": 10}},
+//                          "peak_swa": 12.5}, ...]},
 //     "jobs": {"workers": 4, "submitted": 100, "executed": 100, "steals": 7,
 //              "busy_ms": 120.000, "idle_ms": 280.000, "utilization": 0.3},
 //     "memory": {
@@ -49,8 +47,10 @@
 // fields; v4 (scheduler telemetry) adds the "jobs" utilization section and
 // the histogram p99 / p99_clamped summary values (p99_clamped is true when
 // the rank landed in the overflow bucket, so the reported p99 is only a
-// lower bound -- see obs::histogram_quantile). Consumers must tolerate a
-// missing "memory" or "jobs" section (v2/v3 reports remain renderable and
+// lower bound -- see obs::histogram_quantile); v5 drops the analytics
+// "speculation" totals, since the candidate-seed search has one scalar path.
+// Consumers must tolerate a missing "memory" or "jobs" section and an extra
+// analytics "speculation" object (v2-v4 reports remain renderable and
 // diffable; absent quantities diff as 0). Histogram summaries are guarded: a
 // histogram with no samples renders mean/p50/p90/p99 as 0, never NaN.
 // bytes_per_gate / bytes_per_fault divide the footprint total by the
@@ -85,7 +85,7 @@ struct JobsSummary {
 /// Everything that goes into one report. Fields are plain data so tests can
 /// build a fixed instance and pin the rendered bytes.
 struct RunReportData {
-  int schema_version = 4;
+  int schema_version = 5;
   std::string tool;
   std::string git_sha;
   std::string timestamp_utc;

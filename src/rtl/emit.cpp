@@ -255,10 +255,6 @@ EmittedRtl emit_bist_rtl(const Netlist& cut, const FunctionalBistResult& plan,
     probes.state.push_back("u_cut__" + wrap_names.net[wrap.flops()[f]]);
   }
   probes.misr = misr_out;
-  FBT_OBS_GAUGE_SET("rtl.emitted_total_flops",
-                    static_cast<double>(inv.total_flops));
-  FBT_OBS_GAUGE_SET("rtl.emitted_total_gates",
-                    static_cast<double>(inv.total_gates));
   return result;
 }
 

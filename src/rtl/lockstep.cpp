@@ -124,7 +124,6 @@ LockstepReport run_lockstep(const Netlist& cut, const FunctionalBistResult& plan
     ++report.mismatches;
   }
   report.ok = report.mismatches == 0;
-  FBT_OBS_COUNTER_ADD("rtl.lockstep_cycles", report.cycles_checked);
   return report;
 }
 

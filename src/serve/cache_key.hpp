@@ -6,9 +6,9 @@
 // variants of the same circuit collapse to one key), and derived artifacts
 // fold the producing netlist keys together with exactly the config fields
 // that affect their bytes. Fields that are proven result-neutral --
-// num_threads, speculation_lanes, and fault_pack_width, bit-identical by
-// the determinism discipline pinned since the parallel-grading PRs -- are
-// deliberately EXCLUDED from experiment keys, so a warm cache answers a request at any
+// num_threads and fault_pack_width, bit-identical by the determinism
+// discipline pinned since the parallel-grading PRs -- are deliberately
+// EXCLUDED from experiment keys, so a warm cache answers a request at any
 // parallelism setting.
 //
 // The hash is a dual-lane 64-bit FNV-1a (two independent offset bases /
@@ -69,9 +69,8 @@ CacheKey calibration_cache_key(const CacheKey& target_key,
 CacheKey fault_list_cache_key(const CacheKey& target_key);
 
 /// Key of a full experiment result. Folds the netlist keys and every config
-/// field that can change the result bytes; num_threads, speculation_lanes,
-/// and fault_pack_width are excluded (results are bit-identical across
-/// them).
+/// field that can change the result bytes; num_threads and fault_pack_width
+/// are excluded (results are bit-identical across them).
 CacheKey experiment_cache_key(const CacheKey& target_key,
                               const CacheKey& driver_key,
                               const BistExperimentConfig& config);

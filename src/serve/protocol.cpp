@@ -184,8 +184,6 @@ bool parse_request(const std::string& line, Request& out, std::string& error) {
     cfg.reduce_sequences =
         bool_or(o, "reduce_sequences", cfg.reduce_sequences);
     cfg.num_threads = uint_or(o, "num_threads", cfg.num_threads);
-    cfg.speculation_lanes =
-        uint_or(o, "speculation_lanes", cfg.speculation_lanes);
     cfg.fault_pack_width =
         uint_or(o, "fault_pack_width", cfg.fault_pack_width);
     cfg.emit_rtl = bool_or(o, "emit_rtl", cfg.emit_rtl);

@@ -15,7 +15,7 @@
 //
 // A result answers its own request only: target, experiment key, counts,
 // coverage, the identity fields and elapsed_ms. Its size does not depend on
-// how long the daemon has run; the process-wide schema-v4 run report
+// how long the daemon has run; the process-wide schema-v5 run report
 // (obs/run_report.hpp) is written once, at shutdown (fbt_serve --report).
 // Identity fields "detect_hash" and "first_detect_hash" fingerprint the
 // per-fault detect counts and first-detect attribution so clients (and CI)
@@ -61,7 +61,8 @@ struct Request {
 /// stages outside the primitive-polynomial table, bias bits, cycle,
 /// sequence, failure or thread counts above a constant cap, or a zero
 /// detect_limit, scan_max_chains or scan_min_chain_length. Config fields
-/// absent from the request keep BistExperimentConfig defaults.
+/// absent from the request keep BistExperimentConfig defaults; unknown ones
+/// (such as the retired "speculation_lanes") are ignored.
 bool parse_request(const std::string& line, Request& out, std::string& error);
 
 /// The work-cap check parse_request applies: empty when `cfg` is within the

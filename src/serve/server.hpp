@@ -16,7 +16,7 @@
 //      report is written once, at shutdown.
 //
 // Determinism note: cached experiment keys EXCLUDE num_threads and
-// speculation_lanes (results are bit-identical across them), so a request
+// fault_pack_width (results are bit-identical across them), so a request
 // repeated at a different parallelism setting is a legitimate warm hit; the
 // detect_hash / first_detect_hash fields prove it bit-identical.
 //

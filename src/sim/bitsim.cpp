@@ -71,8 +71,6 @@ std::uint64_t BitSim::fault_propagate(NodeId site, std::uint64_t faulty_word) {
   if (observe_[site]) detect |= faulty_word ^ values_[site];
   enqueue_fanouts(site);
 
-  FBT_OBS_COUNTER_ADD("sim.bitsim_faults_propagated", 1);
-  std::uint64_t propagation_evals = 0;
   std::uint64_t fanin_words[8];
   std::vector<std::uint64_t> big;
   const unsigned start =
@@ -80,7 +78,6 @@ std::uint64_t BitSim::fault_propagate(NodeId site, std::uint64_t faulty_word) {
   for (unsigned lvl = start; lvl < level_queue_.size(); ++lvl) {
     auto& bucket = level_queue_[lvl];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
-      ++propagation_evals;
       const NodeId id = bucket[i];
       const Gate& g = netlist_->gate(id);
       std::uint64_t out;
@@ -103,7 +100,6 @@ std::uint64_t BitSim::fault_propagate(NodeId site, std::uint64_t faulty_word) {
     }
     bucket.clear();
   }
-  FBT_OBS_COUNTER_ADD("sim.bitsim_fault_gates_evaluated", propagation_evals);
   return detect;
 }
 

@@ -2,9 +2,14 @@
 //
 // Advances up to 64 *independent* sequential trajectories per pass: bit k of
 // every node word belongs to lane k. All lanes start from the same broadcast
-// base state (the candidate-seed search speculates many LFSR seeds from one
-// snapshot, dissertation §4.4) but diverge immediately because each lane
-// receives its own primary-input bits, and flip-flop updates are per-bit.
+// base state but diverge immediately because each lane receives its own
+// primary-input bits, and flip-flop updates are per-bit.
+//
+// No product code calls it yet. It is pinned lane for lane against the scalar
+// SeqSim, and its planned caller is packed SWA_func calibration, which runs
+// many independent sequences from reset. (The candidate-seed search does not
+// use it: with R = Q = 2 a 64-lane pass costs more than the few candidates
+// it could supply. See DESIGN.md, "Why the seed search is sequential".)
 //
 // Per-lane switching activity is computed without a 64x popcount scan:
 // the per-node transition words t = prev XOR cur are accumulated into

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "circuits/registry.hpp"
 #include "circuits/s27.hpp"
 #include "fault/fault_sim.hpp"
+#include "obs/event_journal.hpp"
 #include "sim/seqsim.hpp"
 
 namespace fbt {
@@ -192,6 +196,96 @@ TEST(FunctionalBist, HoldingProducesOverriddenStates) {
   if (!run.tests.empty()) {
     EXPECT_GT(overridden, 0u);  // holding must actually bite somewhere
   }
+}
+
+// A SWA_func tight enough that s298's candidates are trimmed and rejected,
+// loose enough that some segments survive.
+FunctionalBistConfig trimming_config() {
+  FunctionalBistConfig cfg;
+  cfg.segment_length = 64;
+  cfg.max_segment_failures = 2;
+  cfg.max_sequence_failures = 2;
+  cfg.swa_bound_percent = 30.0;
+  cfg.rng_seed = 2026;
+  return cfg;
+}
+
+TEST(FunctionalBist, BoundedTrimsLeaveAReplayableTrajectory) {
+  // Replays every committed multi-segment sequence from reset using only the
+  // recorded (seed, length) pairs and re-derives the tests. This pins the
+  // invariant that after a violation-trimmed segment the simulator sits at
+  // the end of the usable prefix -- the trajectory the on-chip hardware
+  // would actually produce.
+  const Netlist nl = load_benchmark("s298");
+  const FunctionalBistConfig cfg = trimming_config();
+  FunctionalBistGenerator gen(nl, cfg);
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  std::vector<std::uint32_t> detect(faults.size(), 0);
+  const FunctionalBistResult run = gen.run(faults, detect);
+  ASSERT_FALSE(run.sequences.empty());
+  std::size_t trimmed = 0;
+
+  Tpg tpg(nl, cfg.tpg);
+  SeqSim sim(nl);
+  std::size_t next_test = 0;
+  for (const SequenceRecord& seq : run.sequences) {
+    sim.load_reset_state();
+    for (const SegmentRecord& seg : seq.segments) {
+      ASSERT_EQ(seg.length % 2, 0u);
+      if (seg.length < cfg.segment_length) ++trimmed;
+      tpg.reseed(seg.seed);
+      for (std::size_t c = 0; c < seg.length; c += 2) {
+        const std::vector<std::uint8_t> launch = sim.state();
+        const std::vector<std::uint8_t> v1 = tpg.next_vector();
+        sim.step(v1);
+        const std::vector<std::uint8_t> v2 = tpg.next_vector();
+        sim.step(v2);
+        ASSERT_LT(next_test, run.tests.size());
+        const BroadsideTest& t = run.tests[next_test++];
+        EXPECT_EQ(t.scan_state, launch);
+        EXPECT_EQ(t.v1, v1);
+        EXPECT_EQ(t.v2, v2);
+      }
+    }
+  }
+  EXPECT_EQ(next_test, run.tests.size());
+  // The config is tight enough that at least one segment was trimmed, so
+  // the replay actually crossed a post-violation boundary.
+  EXPECT_GT(trimmed, 0u);
+}
+
+struct JournaledRun {
+  std::string journal;
+  std::vector<FaultFirstDetect> first_detect;
+};
+
+JournaledRun run_journaled(const Netlist& nl, FunctionalBistConfig cfg,
+                           std::size_t lanes) {
+  cfg.speculation_lanes = lanes;
+  FunctionalBistGenerator gen(nl, cfg);
+  const TransitionFaultList faults = TransitionFaultList::collapsed(nl);
+  std::vector<std::uint32_t> detect(faults.size(), 0);
+  obs::journal().clear();
+  JournaledRun out;
+  out.first_detect = gen.run(faults, detect).first_detect;
+  out.journal = obs::journal().ndjson();
+  obs::journal().clear();
+  return out;
+}
+
+TEST(FunctionalBist, SpeculationLanesIsInert) {
+  // speculation_lanes is accepted and ignored: the search tries one seed at
+  // a time whatever it says, so the event journal (every seed tried,
+  // accepted and rejected) and the first-detect table match byte for byte.
+  const Netlist nl = load_benchmark("s298");
+  const JournaledRun one = run_journaled(nl, trimming_config(), 1);
+  const JournaledRun wide = run_journaled(nl, trimming_config(), 64);
+  EXPECT_EQ(one.journal, wide.journal);
+  EXPECT_EQ(one.first_detect, wide.first_detect);
+#if FBT_OBS_ENABLED
+  // Rejections happened, so a batched search would have had work to do.
+  EXPECT_NE(one.journal.find("\"seed_rejected\""), std::string::npos);
+#endif
 }
 
 }  // namespace

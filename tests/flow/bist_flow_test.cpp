@@ -127,13 +127,17 @@ TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
   EXPECT_TRUE(saw_experiment_span);
   // Work actually spread across workers: more than one timeline row (the
   // gates above make the workers run the artifact graph).
-  if (std::thread::hardware_concurrency() > 1) EXPECT_GE(tids.size(), 2u);
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GE(tids.size(), 2u);
+  }
   // Correct parent/child edges: every non-zero parent is a recorded span.
   for (const obs::JsonValue& event : doc.array) {
     if (event.find("ph")->as_string("") != "X") continue;
     const double parent =
         event.find("args")->find("parent_span_id")->as_number();
-    if (parent != 0.0) EXPECT_EQ(span_ids.count(parent), 1u) << parent;
+    if (parent != 0.0) {
+      EXPECT_EQ(span_ids.count(parent), 1u) << parent;
+    }
   }
   // Flow arrows pair submit sites with execution sites.
   EXPECT_FALSE(flow_starts.empty());

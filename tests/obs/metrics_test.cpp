@@ -152,10 +152,6 @@ TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
        {"sim.seqsim_gates_evaluated", "sim.bitsim_gates_evaluated",
         "bist.lfsr_cycles", "bist.tests_extracted", "atpg.podem_backtracks",
         "fault.faults_dropped", "flow.faults_detected",
-        // Speculative seed search: must appear as zeros in scalar runs,
-        // not be omitted.
-        "bist.speculated_lanes", "bist.speculation_hits",
-        "bist.speculation_wasted", "bist.speculation_batches",
         // Scheduler telemetry (PR 10): report consumers rely on the jobs
         // section existing even for single-threaded runs.
         "jobs.submitted", "jobs.executed", "jobs.steals", "jobs.busy_us"}) {
@@ -164,8 +160,7 @@ TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
     EXPECT_TRUE(found) << name;
   }
   for (const char* name :
-       {"flow.num_threads", "flow.speculation_lanes",
-        "flow.fault_coverage_percent", "flow.num_tests", "flow.num_seeds",
+       {"flow.num_threads", "flow.fault_coverage_percent", "flow.num_tests", "flow.num_seeds",
         "jobs.workers", "jobs.queue_depth"}) {
     bool found = false;
     for (const GaugeSample& g : snap.gauges) found |= g.name == name;

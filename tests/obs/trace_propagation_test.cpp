@@ -232,7 +232,9 @@ TEST(JobSystemTracing, ChromeExportCarriesSpanIdsAndFlowArrows) {
   for (const JsonValue& event : doc.array) {
     if (event.find("ph")->as_string("") != "X") continue;
     const double parent = event.find("args")->find("parent_span_id")->as_number();
-    if (parent != 0.0) EXPECT_TRUE(span_ids.count(parent) != 0) << parent;
+    if (parent != 0.0) {
+      EXPECT_TRUE(span_ids.count(parent) != 0) << parent;
+    }
   }
   // Every flow start has a matching finish and vice versa.
   EXPECT_FALSE(flow_starts.empty());

@@ -121,9 +121,9 @@ TEST(CacheKey, ExperimentKeyFlipsOnResultAffectingFields) {
 }
 
 TEST(CacheKey, ExperimentKeyIgnoresParallelismKnobs) {
-  // num_threads, speculation_lanes, and fault_pack_width are result-neutral
-  // by the determinism discipline, so a warm cache must answer any
-  // parallelism setting.
+  // num_threads and fault_pack_width are result-neutral by the determinism
+  // discipline, so a warm cache must answer any parallelism setting; the
+  // ignored speculation_lanes field must not reach the key either.
   const CacheKey target = KeyBuilder().str("t").finish();
   const CacheKey driver = KeyBuilder().str("d").finish();
   BistExperimentConfig a = base_config();

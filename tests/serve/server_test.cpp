@@ -13,6 +13,7 @@
 
 #include "flow/bist_flow.hpp"
 #include "jobs/job_system.hpp"
+#include "serve/cache_key.hpp"
 #include "serve/protocol.hpp"
 
 namespace fbt::serve {
@@ -181,7 +182,7 @@ TEST(ExperimentService, WarmHitIsBitIdenticalToColdMiss) {
 }
 
 TEST(ExperimentService, WarmHitAcrossParallelismKnobs) {
-  // num_threads / speculation_lanes are excluded from experiment keys
+  // num_threads and fault_pack_width are excluded from experiment keys
   // (results are bit-identical across them), so the repeat at a different
   // parallelism setting is a legitimate warm hit.
   Fixture fx;
@@ -190,7 +191,6 @@ TEST(ExperimentService, WarmHitAcrossParallelismKnobs) {
   const ExperimentSummary cold = fx.service.run_experiment(request, &hit);
   ASSERT_FALSE(hit);
   request.config.num_threads = 3;
-  request.config.speculation_lanes = 8;
   const ExperimentSummary warm = fx.service.run_experiment(request, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(hash_detect_counts(cold.detect_count),
@@ -396,6 +396,24 @@ TEST(ExperimentService, SweepConfigsStayWithinTheWorkCaps) {
               std::stoul(segment));
     EXPECT_EQ(request.experiment.config.generation.rng_seed, 2147483647u);
   }
+}
+
+TEST(ExperimentService, RetiredSpeculationLanesMemberIsIgnored) {
+  // Older clients still send "speculation_lanes"; the line parses, and the
+  // request is the same experiment as one without the member.
+  const std::string head =
+      R"({"type":"experiment","id":"r0","target":"s298","config":)"
+      R"({"segment_length":200)";
+  Request with;
+  Request without;
+  std::string error;
+  ASSERT_TRUE(parse_request(head + R"(,"speculation_lanes":8}})", with, error))
+      << error;
+  ASSERT_TRUE(parse_request(head + "}}", without, error)) << error;
+  const CacheKey target = KeyBuilder().str("s298").finish();
+  const CacheKey driver = KeyBuilder().str("buffers").finish();
+  EXPECT_EQ(experiment_cache_key(target, driver, with.experiment.config),
+            experiment_cache_key(target, driver, without.experiment.config));
 }
 
 int connect_unix(const std::string& path) {

@@ -9,7 +9,7 @@
 //       `stats` responses and the run report agree (in-flight requests still
 //       complete, they just no longer move the published numbers). On
 //       graceful exit it drains in-flight requests, flushes the NDJSON
-//       journal, writes a schema-v4 run report, and (with --trace) exports
+//       journal, writes a schema-v5 run report, and (with --trace) exports
 //       the Chrome trace of everything the daemon executed.
 //
 //   fbt_serve request --socket <path> --target <name> [--driver <name>]
@@ -17,8 +17,7 @@
 //                     [--no-progress] [--cal-sequences N] [--cal-length N]
 //                     [--segment-length N] [--max-segment-failures N]
 //                     [--max-sequence-failures N] [--rng-seed N]
-//                     [--num-threads N] [--speculation-lanes N]
-//                     [--fault-pack-width N]
+//                     [--num-threads N] [--fault-pack-width N]
 //       Connects, sends one experiment request (or the raw --json line),
 //       prints every response line, and exits when the result (or an error)
 //       arrives. Exit codes: 0 result received, 1 server error, 2 usage/IO.
@@ -192,8 +191,6 @@ std::string build_request_line(const fbt::Cli& cli) {
           std::to_string(cli.get_int("max-sequence-failures", 2));
   line += ", \"rng_seed\": " + std::to_string(cli.get_int("rng-seed", 19));
   line += ", \"num_threads\": " + std::to_string(cli.get_int("num-threads", 1));
-  line += ", \"speculation_lanes\": " +
-          std::to_string(cli.get_int("speculation-lanes", 64));
   line += ", \"fault_pack_width\": " +
           std::to_string(cli.get_int("fault-pack-width", 64));
   line += "}}";
