@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the simulation kernels that
 // dominate every experiment: bit-parallel evaluation, scalar and 64-lane
 // sequential stepping (the three runners of the compiled gate program, on
-// s5378 and spi), event-driven fault propagation, cube simulation, and the
-// on-chip TPG. Also quantifies the bit-parallel vs scalar design decision
-// called out in DESIGN.md.
+// s5378 and spi), event-driven fault propagation, the primary-input cube,
+// and the on-chip TPG. Also quantifies the bit-parallel vs scalar design
+// decision called out in DESIGN.md.
 //
 //   bench_kernels [--benchmark_filter=REGEX] [--benchmark_min_time=SECONDS]
 //                 [--benchmark_out=FILE --benchmark_out_format=json]
@@ -13,12 +13,12 @@
 #include <string>
 #include <vector>
 
+#include "bist/input_cube.hpp"
 #include "bist/lfsr.hpp"
 #include "bist/tpg.hpp"
 #include "circuits/registry.hpp"
 #include "fault/fault_sim.hpp"
 #include "sim/bitsim.hpp"
-#include "sim/cubesim.hpp"
 #include "sim/packed_seqsim.hpp"
 #include "sim/seqsim.hpp"
 #include "util/rng.hpp"
@@ -127,17 +127,18 @@ void BM_GradeRandomTests(benchmark::State& state) {
 }
 BENCHMARK(BM_GradeRandomTests);
 
-void BM_CubeSimEval(benchmark::State& state) {
-  const fbt::Netlist& nl = circuit();
-  fbt::CubeSim sim(nl);
-  sim.clear();
-  sim.set_value(nl.inputs()[0], fbt::Val3::k1);
+// The whole primary-input cube (both values of every input). CI gates its
+// time against BM_BitSimEval64 on the same circuit, a ratio that does not
+// depend on the runner.
+void BM_InputCube(benchmark::State& state, const char* name) {
+  const fbt::Netlist& nl = circuit(name);
   for (auto _ : state) {
-    sim.eval();
-    benchmark::DoNotOptimize(sim.specified_next_state_count());
+    benchmark::DoNotOptimize(fbt::compute_input_cube(nl));
   }
+  state.SetItemsProcessed(state.iterations() * nl.num_inputs());
 }
-BENCHMARK(BM_CubeSimEval);
+BENCHMARK_CAPTURE(BM_InputCube, s5378, "s5378");
+BENCHMARK_CAPTURE(BM_InputCube, spi, "spi");
 
 void BM_TpgNextVector(benchmark::State& state) {
   const fbt::Netlist& nl = circuit();

@@ -29,13 +29,14 @@ FunctionalProfile run_calibration(
   Pcg32 rng(config.rng_seed, 0x6a09e667f3bcc909ULL);
 
   FunctionalProfile profile;
+  std::vector<std::uint8_t> driver_pi(driver.num_inputs(), 0);
   std::vector<std::uint8_t> target_pi(target.num_inputs(), 0);
   for (std::size_t s = 0; s < config.num_sequences; ++s) {
     tpg.reseed(rng.next() | 1u);
     driver_sim.load_reset_state();
     target_sim.load_reset_state();
     for (std::size_t c = 0; c < config.sequence_length; ++c) {
-      const auto driver_pi = tpg.next_vector();
+      tpg.next_vector_into(driver_pi);
       driver_sim.step(driver_pi);
       for (std::size_t i = 0; i < target_pi.size(); ++i) {
         target_pi[i] = driver_sim.value(driver.outputs()[i]);

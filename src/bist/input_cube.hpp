@@ -25,7 +25,12 @@ struct InputCube {
   std::size_t specified_count() const;
 };
 
-/// Computes the cube by three-valued simulation (one frame per input value).
+/// Computes the cube by three-valued simulation of one frame per input value.
+/// With no input specified every node is X (constants included: they are
+/// sources the three-valued frame never evaluates), and Kleene logic is
+/// monotone, so each trial propagates the input value through only the gates
+/// it makes binary and counts the flip-flops those gates feed. The result
+/// equals a whole-circuit three-valued simulation per trial.
 InputCube compute_input_cube(const Netlist& netlist);
 
 }  // namespace fbt

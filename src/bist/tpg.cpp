@@ -41,8 +41,15 @@ void Tpg::clock_shift_register() {
 
 void Tpg::reseed(std::uint32_t seed) {
   lfsr_.seed(seed);
-  for (std::size_t k = 0; k < shift_register_.size(); ++k) {
-    clock_shift_register();
+  // Clocking the register full shifts out every old bit, and the bit shifted
+  // in on fill clock c ends at position size - 1 - c: write it there.
+  const std::size_t size = shift_register_.size();
+#if FBT_OBS_ENABLED
+  lfsr_cycles_.add(size);
+#endif
+  for (std::size_t c = 0; c < size; ++c) {
+    lfsr_.step();
+    shift_register_[size - 1 - c] = lfsr_.output() ? 1 : 0;
   }
 }
 

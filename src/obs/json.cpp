@@ -177,9 +177,14 @@ class Parser {
             if (pos_ + 4 >= text_.size()) return fail("bad \\u escape");
             char hex[5] = {text_[pos_ + 1], text_[pos_ + 2], text_[pos_ + 3],
                            text_[pos_ + 4], '\0'};
-            char* end = nullptr;
-            const long code = std::strtol(hex, &end, 16);
-            if (end != hex + 4) return fail("bad \\u escape");
+            // Exactly four hex digits: strtol alone would also take a sign
+            // or leading blanks.
+            for (int k = 0; k < 4; ++k) {
+              if (std::isxdigit(static_cast<unsigned char>(hex[k])) == 0) {
+                return fail("bad \\u escape");
+              }
+            }
+            const long code = std::strtol(hex, nullptr, 16);
             // Reports only escape control characters; anything wider than
             // ASCII decodes to '?' rather than UTF-8.
             out += code < 0x80 ? static_cast<char>(code) : '?';
@@ -197,22 +202,41 @@ class Parser {
     return fail("unterminated string");
   }
 
+  /// Number of ASCII digits at the cursor, which it skips.
+  std::size_t skip_digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+      ++pos_;
+    }
+    return pos_ - start;
+  }
+
+  /// JSON number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   bool parse_number(JsonValue& out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = skip_digits();
+    if (int_digits == 0) {
+      return fail(pos_ == start ? "expected value" : "bad number");
     }
-    if (pos_ == start) return fail("expected value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) return fail("bad number");
+    if (int_digits > 1 && text_[int_start] == '0') {
+      return fail("bad number: leading zero");
+    }
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      if (skip_digits() == 0) return fail("bad number: no fraction digits");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      if (skip_digits() == 0) return fail("bad number: no exponent digits");
+    }
     out.kind = JsonValue::Kind::kNumber;
-    out.number = v;
+    out.number = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
     return true;
   }
 

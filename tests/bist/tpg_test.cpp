@@ -2,26 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "bist/input_cube.hpp"
 #include "circuits/s27.hpp"
 #include "circuits/synth.hpp"
 
 namespace fbt {
 namespace {
-
-TEST(InputCube, BuffersBlockHasNoSpecifiedInputs) {
-  const Netlist nl = make_buffers_block(8);
-  const InputCube cube = compute_input_cube(nl);
-  EXPECT_EQ(cube.specified_count(), 0u);  // no state variables to synchronize
-}
-
-TEST(InputCube, S27FavoursTheLessSynchronizingValue) {
-  const Netlist nl = make_s27();
-  const InputCube cube = compute_input_cube(nl);
-  // G0 = 0 synchronizes G10 (via G14 = 1); G0 = 1 synchronizes nothing.
-  // So 1 synchronizes fewer state variables and C(G0) = 1.
-  EXPECT_EQ(cube.values[0], Val3::k1);
-}
 
 TEST(Tpg, ShiftRegisterSizeFollowsTheFormula) {
   const Netlist nl = make_s27();
@@ -31,6 +16,23 @@ TEST(Tpg, ShiftRegisterSizeFollowsTheFormula) {
   EXPECT_EQ(tpg.shift_register_size(),
             3 * nsp + (nl.num_inputs() - nsp));
   EXPECT_EQ(tpg.bias_gate_count(), nsp);
+}
+
+// Reseeding clocks the shift register full: one LFSR cycle per bit.
+TEST(Tpg, ReseedCountsOneLfsrCyclePerShiftRegisterBit) {
+#if FBT_OBS_ENABLED
+  const Netlist nl = make_s27();
+  const obs::Counter& cycles = obs::registry().counter("bist.lfsr_cycles");
+  const std::uint64_t before = cycles.value();
+  std::size_t size = 0;
+  {
+    Tpg tpg(nl, {});
+    size = tpg.shift_register_size();
+    tpg.reseed(42);
+    tpg.reseed(43);
+  }  // the Tpg's batched counter flushes here
+  EXPECT_EQ(cycles.value() - before, 2 * size);
+#endif
 }
 
 TEST(Tpg, DeterministicPerSeed) {

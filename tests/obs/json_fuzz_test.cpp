@@ -54,8 +54,8 @@ constexpr std::string_view kSeedDocuments[] = {
 // structure, literals, escapes, nesting past the depth limit, raw bytes.
 constexpr std::string_view kTokens[] = {
     "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "\\u00", "\\uZZZZ",
-    "\\u-001", "\\x", "true", "tru", "false", "null", "nul", "-", "+", ".",
-    "e", "1e", "--1", "0x1p3", "\t", "\r\n", "\xff\xfe",
+    "\\u-001", "\\u+07A", "\\u 07A", "\\x", "true", "tru", "false", "null",
+    "nul", "-", "+", ".", "e", "1e", "--1", "0x1p3", "\t", "\r\n", "\xff\xfe",
     std::string_view("\0", 1),
     "\"schema_version\":", "\"gauges\":{}", "\"phases\":[1]",
     "\"children\":\"x\"", "\"memory\":[]",
@@ -69,6 +69,16 @@ constexpr std::string_view kNumbers[] = {
     "0",     "-0",    "1",     "-1",   "0.5",  "1e308", "1e309", "-1e309",
     "1e-400", "4294967296", "18446744073709551616", "01", "1.", ".5",
     "1e",    "1e+",   "-",     "NaN",  "inf",  "1.2.3", "2e2e2", "0-1",
+    "+1",    "-01",   "-.5",   "1.e5",
+};
+
+// Documents a strtol/strtod-based reader used to accept: signed or blank
+// \u escapes and numbers outside the JSON grammar. Each must be rejected.
+constexpr std::string_view kNonJsonDocuments[] = {
+    R"({"s": "\u-001"})", R"({"s": "\u+07A"})", R"({"s": "\u 07A"})",
+    R"({"n": 01})",       R"({"n": -01})",      R"({"n": .5})",
+    R"({"n": 1.})",       R"({"n": +1})",       R"({"n": 1.e5})",
+    R"({"n": [1, 2, 00]})",
 };
 
 bool is_number_char(char c) {
@@ -169,6 +179,18 @@ TEST(JsonFuzz, MutatedDocumentsParseOrReportAnError) {
   // Both outcomes must be exercised, or the mutator is not doing its job.
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(rejected, 0u);
+}
+
+TEST(JsonFuzz, NonJsonEscapesAndNumbersAreRejected) {
+  for (const std::string_view doc : kNonJsonDocuments) {
+    const std::string text(doc);
+    JsonValue value;
+    std::string error;
+    EXPECT_FALSE(json_parse(text, value, error)) << text;
+    const long offset = error_offset(error);
+    EXPECT_GE(offset, 0) << error << "\n" << text;
+    EXPECT_LE(offset, static_cast<long>(text.size())) << text;
+  }
 }
 
 TEST(JsonFuzz, DeepNestingIsAnErrorNotAStackOverflow) {

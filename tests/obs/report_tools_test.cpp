@@ -68,6 +68,32 @@ TEST(JsonParse, RejectsMalformedInputWithPosition) {
   EXPECT_FALSE(json_parse("{} trailing", v, error));
 }
 
+// JSON allows exactly four hex digits after \u and the number grammar
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?; strtol and strtod accept
+// more (a sign or blanks in the escape, "01", ".5", "1.", "+1").
+TEST(JsonParse, RejectsNonJsonEscapesAndNumbers) {
+  for (const char* text :
+       {R"(["\u-001"])", R"(["\u+07A"])", R"(["\u 07A"])", R"(["\u07"])",
+        R"(["\u0x7A"])", "[01]", "[-01]", "[.5]", "[1.]", "[+1]", "[-]",
+        "[1e]", "[1e+]", "[-.5]", "[1.e5]"}) {
+    JsonValue v;
+    std::string error;
+    EXPECT_FALSE(json_parse(text, v, error)) << text;
+    EXPECT_NE(error.find("byte"), std::string::npos) << text;
+  }
+}
+
+TEST(JsonParse, AcceptsEveryJsonNumberForm) {
+  const JsonValue v = parse_or_die(
+      R"([0, -0, 7, 10, 0.5, -0.25, 1e3, 1E-2, 2e+2, -1.5e2, 1234567890])");
+  const double expected[] = {0,   0,    7,    10,  0.5,       -0.25,
+                             1e3, 1e-2, 2e2, -150, 1234567890};
+  ASSERT_EQ(v.array.size(), std::size(expected));
+  for (std::size_t k = 0; k < v.array.size(); ++k) {
+    EXPECT_DOUBLE_EQ(v.array[k].as_number(), expected[k]) << k;
+  }
+}
+
 TEST(JsonParse, HandlesEscapesAndLiterals) {
   const JsonValue v =
       parse_or_die(R"({"s": "a\"b\nc", "t": true, "n": null, "d": -1.5e2})");
@@ -75,6 +101,7 @@ TEST(JsonParse, HandlesEscapesAndLiterals) {
   EXPECT_TRUE(v.find("t")->boolean);
   EXPECT_TRUE(v.find("n")->is_null());
   EXPECT_DOUBLE_EQ(v.find("d")->as_number(), -150.0);
+  EXPECT_EQ(parse_or_die(R"(["\u007A\u007a\u00e9"])").array[0].string, "zz?");
 }
 
 TEST(DiffRunReports, PassesWhenWithinThresholds) {

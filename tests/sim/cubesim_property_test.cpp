@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "circuits/synth.hpp"
+#include "oracles/cubesim.hpp"
 #include "sim/bitsim.hpp"
-#include "sim/cubesim.hpp"
 #include "util/rng.hpp"
 
 namespace fbt {

@@ -1,4 +1,4 @@
-#include "sim/cubesim.hpp"
+#include "oracles/cubesim.hpp"
 
 #include <gtest/gtest.h>
 
