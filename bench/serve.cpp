@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   request.config.generation.rng_seed = 19;
 
   // The container may report a single core; the serving pool is explicitly
-  // sized so steal/multiplex behaviour is exercised regardless.
+  // sized so concurrent requests multiplex it regardless.
   fbt::jobs::JobSystem jobs(4);
   fbt::serve::ArtifactCache cache;
   fbt::serve::ExperimentService service(jobs, cache);

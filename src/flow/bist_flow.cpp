@@ -25,45 +25,27 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
   const bool unconstrained =
       config.driver_name.empty() || config.driver_name == "buffers";
 
-  // Artifact stage as a task graph: the target load gates everything;
-  // driver load and fault collapsing then run in parallel, and calibration
-  // starts the moment both netlists exist. A supplied artifact turns its
-  // task into a copy.
-  // wait_all() helps run the tasks, so this nests safely inside a task of
-  // the same pool (the serving path).
-  Netlist target("");
-  const jobs::TaskHandle t_target = jobs.submit([&] {
-    target = artifacts.target != nullptr ? *artifacts.target
-                                         : load_benchmark(config.target_name);
-  });
-  Netlist driver("");
-  const jobs::TaskHandle t_driver = jobs.submit_after({t_target}, [&] {
-    if (artifacts.driver != nullptr) {
-      driver = *artifacts.driver;
-    } else {
-      driver = unconstrained ? make_buffers_block(target.num_inputs())
-                             : load_benchmark(config.driver_name);
-    }
-  });
-  TransitionFaultList faults;
-  const jobs::TaskHandle t_faults = jobs.submit_after({t_target}, [&] {
-    faults = artifacts.faults != nullptr
-                 ? *artifacts.faults
-                 : TransitionFaultList::collapsed(target);
-  });
+  // Artifact stage, in order on the calling thread: a supplied artifact
+  // (serving-cache hit) is copied instead of derived.
+  Netlist target = artifacts.target != nullptr
+                       ? *artifacts.target
+                       : load_benchmark(config.target_name);
+  const Netlist driver =
+      artifacts.driver != nullptr ? *artifacts.driver
+      : unconstrained             ? make_buffers_block(target.num_inputs())
+                                  : load_benchmark(config.driver_name);
+  TransitionFaultList faults = artifacts.faults != nullptr
+                                   ? *artifacts.faults
+                                   : TransitionFaultList::collapsed(target);
   // Calibrate SWA_func. The TPG is built for the driving block inside
   // measure_swa_func; for the buffers block that reduces to unbiased patterns
   // straight into the target, giving the unconstrained peak (§4.6). A cached
   // calibration (keyed on netlist contents + calibration config) skips the
   // simulation entirely.
-  double swa_func = 0.0;
-  const jobs::TaskHandle t_cal = jobs.submit_after({t_target, t_driver}, [&] {
-    swa_func = artifacts.swa_func_percent.has_value()
-                   ? *artifacts.swa_func_percent
-                   : measure_swa_func(target, driver, config.calibration)
-                         .peak_percent;
-  });
-  jobs.wait_all({t_cal, t_faults});
+  const double swa_func =
+      artifacts.swa_func_percent.has_value()
+          ? *artifacts.swa_func_percent
+          : measure_swa_func(target, driver, config.calibration).peak_percent;
 
   FunctionalBistConfig gen = config.generation;
   gen.swa_bound_percent = swa_func;

@@ -89,12 +89,12 @@ struct ExperimentArtifacts {
 /// "buffers"/empty) built-in generation. Uses the process-wide job pool.
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config);
 
-/// Same flow as a task graph on `jobs`: target/driver loading, SWA_func
-/// calibration, and fault collapsing run as dependency-ordered tasks, and
-/// every fault-grading step multiplexes `jobs` -- many experiments share one
-/// pool. `artifacts` short-circuits tasks whose results the caller already
-/// holds (cache hits). Results are bit-identical to the single-argument
-/// overload for any pool size and any artifacts.
+/// Same flow on the calling thread, in order: target, driver, fault list,
+/// SWA_func calibration, generation, reduction, costing and RTL. `jobs` only
+/// runs the fault-grading walkers (construction and reduction), so many
+/// experiments share one pool. `artifacts` replaces a step whose result the
+/// caller already holds (cache hits). Results are bit-identical to the
+/// single-argument overload for any pool size and any artifacts.
 BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                                          jobs::JobSystem& jobs,
                                          const ExperimentArtifacts& artifacts);

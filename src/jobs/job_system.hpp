@@ -1,35 +1,35 @@
-// Work-stealing job system: the single execution substrate of the repo.
+// FIFO job pool: the single execution substrate of the repo.
 //
-// Replaces the fixed per-phase util/thread_pool so that many circuits and
-// many experiments multiplex one set of worker threads (the serving story:
-// every request's task graph shares the pool instead of spawning its own).
+// Many circuits and many experiments multiplex one set of worker threads
+// (the serving story: every request runs as one task of a shared pool).
 //
 // Shape:
-//  * one bounded set of worker threads, each owning a deque of ready tasks;
-//    a worker pops from the back of its own deque (LIFO, cache-warm) and,
-//    when empty, steals the front half of a victim's deque (FIFO, oldest
-//    tasks first -- the classic steal-half discipline);
-//  * tasks are handles with dependencies: submit_after() defers a task until
-//    every dependency finished; a failed dependency propagates its exception
-//    to dependents without running them;
-//  * exception propagation: wait() rethrows the task's exception (or the
-//    inherited dependency failure) on the waiting thread;
-//  * waiting helps: a thread blocked in wait() executes pending tasks
-//    instead of idling, so nested parallel_for from inside a task cannot
-//    deadlock the pool;
+//  * one mutex-guarded FIFO queue served by N worker threads; a task runs
+//    on whichever worker pops it first;
+//  * exception propagation: wait() rethrows the task's exception on the
+//    waiting thread;
+//  * no nested waits: wait() blocks on a condition variable and never runs
+//    other tasks, so it throws fbt::Error on a worker of the same pool
+//    (blocking there could deadlock a pool whose workers all wait);
+//  * parallel_for needs no waiting on tasks: the caller and up to N-1 helper
+//    tasks claim indices from one shared atomic cursor, and the caller
+//    returns once every index it or a helper claimed has finished. A helper
+//    still queued behind a long task never delays the caller, and a helper
+//    that starts late finds the cursor exhausted and does nothing -- so
+//    parallel_for nests safely inside a task of the same pool;
 //  * determinism: the scheduler never influences results -- parallel users
-//    (fault-grading walkers, flow task graphs) partition work by index and
+//    (fault-grading walkers, serve requests) partition work by index and
 //    merge by index, so any interleaving produces bit-identical output
 //    (pinned by tests/bist/attribution_identity_test.cpp and
 //    tests/serve/server_test.cpp).
 //
-// Observability: jobs.submitted / jobs.executed / jobs.steals counters plus,
-// when FBT_OBS is on, cross-worker trace propagation (submit_after captures
-// the submitter's obs::TraceContext and re-enters it on the executing worker,
-// with a Chrome flow arrow from submit site to run site), per-worker busy
-// time, queue-depth gauges, and steal-latency / run-time histograms. The
-// always-on counters are plain relaxed atomics; everything involving a clock
-// read compiles away under FBT_OBS=OFF.
+// Observability: jobs.submitted / jobs.executed counters plus, when FBT_OBS
+// is on, cross-worker trace propagation (submit captures the submitter's
+// obs::TraceContext and re-enters it on the executing worker, with a Chrome
+// flow arrow from submit site to run site), per-worker busy time, a
+// queue-depth gauge and a run-time histogram. The always-on counters are
+// plain relaxed atomics; everything involving a clock read compiles away
+// under FBT_OBS=OFF.
 #pragma once
 
 #include <atomic>
@@ -56,23 +56,18 @@ namespace fbt::jobs {
 
 namespace detail {
 
-/// Shared completion state of one task. Lifetime is managed by shared_ptr:
-/// the queue, the handle, and dependent tasks may all hold references.
+/// Shared completion state of one task, owned jointly by the queue and the
+/// handle.
 struct TaskState {
   std::function<void()> fn;
   std::mutex mutex;
   std::condition_variable cv;
-  bool done = false;                 ///< guarded by mutex
-  std::exception_ptr error;          ///< set before done, guarded by mutex
-  std::exception_ptr dep_error;      ///< first failed dependency, guarded
-  std::vector<std::shared_ptr<TaskState>> dependents;  ///< guarded by mutex
-  /// Unfinished dependencies + 1 submission guard; the task is enqueued when
-  /// this reaches zero.
-  std::atomic<int> pending{1};
+  bool done = false;         ///< guarded by mutex
+  std::exception_ptr error;  ///< set before done, guarded by mutex
 #if FBT_OBS_ENABLED
   /// Submitter's trace position, captured at submit time and re-entered
   /// (obs::TraceContextScope) around fn() on the executing worker -- written
-  /// before the task becomes reachable by any worker, read-only afterwards.
+  /// before the task is queued, read-only afterwards.
   obs::TraceContext trace{};
   std::uint64_t flow_id = 0;    ///< Chrome flow-arrow id (submit -> run)
   std::uint64_t submit_us = 0;  ///< trace-epoch time of the submit site
@@ -91,6 +86,8 @@ struct SchedulerSnapshot {
   std::size_t queue_depth = 0;  ///< tasks queued, not yet started
   std::uint64_t submitted = 0;
   std::uint64_t executed = 0;
+  /// Always 0: the FIFO pool does not steal. Kept only because the fbtbench
+  /// serve_sweep harness reads it.
   std::uint64_t steals = 0;
   double busy_ms = 0.0;     ///< summed across workers
   double elapsed_ms = 0.0;  ///< wall time since pool construction
@@ -103,7 +100,7 @@ class TaskHandle {
  public:
   TaskHandle() = default;
   bool valid() const { return state_ != nullptr; }
-  /// True once the task (or its dependency-failure short-circuit) finished.
+  /// True once the task finished (normally or with an exception).
   bool done() const;
 
  private:
@@ -122,76 +119,55 @@ class JobSystem {
   JobSystem& operator=(const JobSystem&) = delete;
 
   /// Number of worker threads (>= 1).
-  std::size_t size() const { return queues_.size(); }
+  std::size_t size() const { return workers_.size(); }
 
   /// Maps the num_threads knob to an actual count: 0 becomes
   /// hardware_concurrency() (or 1 when that is unknown). Shared by every
   /// `num_threads` knob in the repo (grading walkers, server pools).
   static std::size_t resolve_threads(std::size_t requested);
 
-  /// Schedules `fn` for execution. The handle outlives the system only as an
+  /// Appends `fn` to the queue. The handle outlives the system only as an
   /// inert token; wait on it before destroying the JobSystem.
   TaskHandle submit(std::function<void()> fn);
 
-  /// Schedules `fn` to run after every task in `deps` finished. If a
-  /// dependency finished with an exception, `fn` is not run and the handle
-  /// carries that exception instead.
-  TaskHandle submit_after(const std::vector<TaskHandle>& deps,
-                          std::function<void()> fn);
-
-  /// Blocks until `handle` finished, executing pending tasks while waiting
-  /// (from worker and external threads alike). Rethrows the task's
-  /// exception. No-op for invalid handles.
+  /// Blocks until `handle` finished and rethrows the task's exception. No-op
+  /// for invalid handles. Throws fbt::Error when called on a worker of this
+  /// pool: it never runs other tasks while blocked, so a nested wait could
+  /// deadlock.
   void wait(const TaskHandle& handle);
 
-  /// Waits on every handle; rethrows the first (by index) exception after
-  /// all finished.
-  void wait_all(const std::vector<TaskHandle>& handles);
-
-  /// Executes task(i) for every i in [0, num_tasks) across the pool and the
-  /// calling thread; blocks until all finished and rethrows the first (by
-  /// index) exception. Runs inline when the pool has one worker or
-  /// num_tasks <= 1, preserving the serial reference path exactly.
+  /// Executes task(i) for every i in [0, num_tasks) on the calling thread
+  /// and up to size()-1 helper tasks, which claim indices from one shared
+  /// cursor. Returns once every index finished and rethrows the first (by
+  /// index) exception. Safe from inside a task of this pool. Runs inline
+  /// when the pool has one worker or num_tasks <= 1, preserving the serial
+  /// reference path exactly.
   void parallel_for(std::size_t num_tasks,
                     const std::function<void(std::size_t)>& task);
 
-  /// Current scheduler telemetry for this pool. Cheap (relaxed atomic loads
-  /// only) and safe to call concurrently with running work -- the serve
-  /// daemon calls it per `stats` request, the run report once at exit.
+  /// Current scheduler telemetry for this pool. Cheap and safe to call
+  /// concurrently with running work -- the serve daemon calls it per `stats`
+  /// request, the run report once at exit.
   SchedulerSnapshot scheduler_snapshot() const;
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::shared_ptr<detail::TaskState>> tasks;
-  };
-
   void worker_loop(std::size_t index);
-  void enqueue(std::shared_ptr<detail::TaskState> state);
-  /// Runs one ready task on the calling thread: own queue first (workers),
-  /// then stealing. Returns false when every queue was empty.
-  bool try_execute_one();
-  void execute(const std::shared_ptr<detail::TaskState>& state);
-  void complete(const std::shared_ptr<detail::TaskState>& state,
-                std::exception_ptr error);
+  void execute(detail::TaskState& state, std::size_t worker);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;  // one per worker
   std::vector<std::thread> workers_;
-  std::atomic<std::size_t> submit_cursor_{0};  ///< round-robin for externals
-  std::atomic<std::size_t> ready_count_{0};    ///< queued, not yet started
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-  bool stop_ = false;  ///< guarded by idle_mutex_
+  mutable std::mutex mutex_;
+  std::condition_variable ready_cv_;
+  std::deque<std::shared_ptr<detail::TaskState>> queue_;  ///< guarded
+  bool stop_ = false;                                     ///< guarded
 
   // Telemetry (scheduler_snapshot). The lifetime counters are always-on
   // relaxed atomics; busy-time accounting needs a clock read per task and is
   // compiled away under FBT_OBS=OFF.
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> steals_{0};
   std::chrono::steady_clock::time_point start_;
 #if FBT_OBS_ENABLED
-  /// Per-worker (+1 slot for external helpers) microseconds spent in fn().
+  /// Per-worker microseconds spent in fn().
   std::unique_ptr<std::atomic<std::uint64_t>[]> busy_us_;
 #endif
 };

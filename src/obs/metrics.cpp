@@ -128,24 +128,22 @@ void register_core_counters() {
   reg.counter("fault.pack_groups_simulated");
   reg.counter("fault.pack_lanes_wasted");
   reg.counter("fault.pack_diff_words_propagated");
-  // Serving layer (fbt_serve daemon + work-stealing job system): registered
-  // so batch runs report them as zeros and dashboards can always render the
-  // Serving panel from a uniform metric set.
+  // Serving layer (fbt_serve daemon + FIFO job pool): registered so batch
+  // runs report them as zeros and dashboards can always render the Serving
+  // panel from a uniform metric set.
   reg.counter("serve.requests_total");
   reg.counter("serve.cache_hits");
   reg.counter("serve.cache_misses");
   reg.counter("serve.cache_evictions");
   reg.counter("jobs.submitted");
   reg.counter("jobs.executed");
-  reg.counter("jobs.steals");
   // Scheduler telemetry (trace propagation + utilization, PR 10): worker
-  // busy time feeds the run report's "jobs" section; the histograms use
+  // busy time feeds the run report's "jobs" section; the histogram uses
   // log-scale bounds because job run times span microseconds to seconds.
   reg.counter("jobs.busy_us");
   reg.gauge("jobs.workers");
   reg.gauge("jobs.queue_depth");
   reg.histogram("jobs.run_ms", Histogram::log_latency_ms_bounds());
-  reg.histogram("jobs.steal_latency_ms", Histogram::log_latency_ms_bounds());
   // Per-request serve latency, decomposed into segments and keyed cold
   // (experiment-cache miss) vs warm (hit). Pre-registered so the stats
   // response and dashboards always see the full set, zero-valued when the

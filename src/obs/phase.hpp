@@ -14,8 +14,8 @@
 // TraceContextScope: spans opened there with an empty local stack adopt the
 // captured span as their parent. Such spans are recorded as *detached*
 // roots; summarize() re-attaches them under their parent span (stitching),
-// so the phase tree shows the real task graph even when the JobSystem
-// steals work between workers. The Chrome export keeps one complete event
+// so the phase tree shows where each task came from, whichever JobSystem
+// worker ran it. The Chrome export keeps one complete event
 // per span (args carry span_id/parent_span_id) plus flow arrows
 // ("ph":"s"/"f") from each submit site to the execution site.
 //

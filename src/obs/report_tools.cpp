@@ -337,7 +337,7 @@ void html_histogram_row(const JsonValue* histograms, const std::string& name,
 }
 
 /// Scheduler panel: the schema-v4 "jobs" utilization section plus the
-/// jobs.run_ms / jobs.steal_latency_ms histogram summaries. Reports
+/// jobs.run_ms histogram summary. Reports
 /// predating v4 (or with no scheduler activity) degrade to a note.
 void html_scheduler_panel(const JsonValue& report, std::ostringstream& out) {
   const JsonValue* jobs = report.find("jobs");
@@ -357,7 +357,6 @@ void html_scheduler_panel(const JsonValue& report, std::ostringstream& out) {
   const JsonValue* histograms = report.find("histograms");
   std::ostringstream rows;
   html_histogram_row(histograms, "jobs.run_ms", rows);
-  html_histogram_row(histograms, "jobs.steal_latency_ms", rows);
   if (!rows.str().empty()) {
     out << "<h3>Job timing (ms)</h3>\n<table><tr><th>histogram</th>"
            "<th>count</th><th>mean</th><th>p50</th><th>p99</th></tr>\n"
@@ -399,7 +398,7 @@ void html_request_latency_panel(const JsonValue& report,
 }  // namespace
 
 /// Serving panel: every serve.* / jobs.* counter and gauge, so a daemon or
-/// bench_serve report shows request volume, cache effectiveness, and steal
+/// bench_serve report shows request volume, cache effectiveness, and job
 /// traffic at a glance. Reports with no serving activity (batch tools, or a
 /// v3 report predating the serving layer) degrade to a note.
 void html_serving_panel(const JsonValue& report, std::ostringstream& out) {

@@ -100,7 +100,6 @@ RunReportData collect_run_report(
   for (const CounterSample& c : data.metrics.counters) {
     if (c.name == "jobs.submitted") data.jobs.submitted = c.value;
     if (c.name == "jobs.executed") data.jobs.executed = c.value;
-    if (c.name == "jobs.steals") data.jobs.steals = c.value;
     if (c.name == "jobs.busy_us") {
       data.jobs.busy_ms = static_cast<double>(c.value) / 1000.0;
     }
@@ -232,8 +231,8 @@ std::string render_run_report(const RunReportData& data) {
 
   const JobsSummary& jobs = data.jobs;
   out += fmt("  \"jobs\": {\"workers\": %" PRIu64 ", \"submitted\": %" PRIu64
-             ", \"executed\": %" PRIu64 ", \"steals\": %" PRIu64,
-             jobs.workers, jobs.submitted, jobs.executed, jobs.steals);
+             ", \"executed\": %" PRIu64,
+             jobs.workers, jobs.submitted, jobs.executed);
   out += ", \"busy_ms\": " + ms_number(jobs.busy_ms) +
          ", \"idle_ms\": " + ms_number(jobs.idle_ms) +
          ", \"utilization\": " + json_number(jobs.utilization) + "},\n";

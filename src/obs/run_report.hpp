@@ -5,11 +5,11 @@
 // perf trajectory is diffable across PRs (`tools/fbt_report diff` gates CI
 // on them).
 //
-// Schema (version 5) -- keys are emitted in this fixed order, metric and
+// Schema (version 6) -- keys are emitted in this fixed order, metric and
 // config keys sorted by name, so reports diff cleanly:
 //
 //   {
-//     "schema_version": 5,
+//     "schema_version": 6,
 //     "tool": "bench_table4_1",
 //     "git_sha": "abc1234",
 //     "timestamp_utc": "2026-08-05T12:00:00Z",
@@ -29,7 +29,7 @@
 //       "segment_yield": [{"sequence": 0, "segment": 0, "seed": 123,
 //                          "tests": 100, "newly_detected": 42,
 //                          "peak_swa": 12.5}, ...]},
-//     "jobs": {"workers": 4, "submitted": 100, "executed": 100, "steals": 7,
+//     "jobs": {"workers": 4, "submitted": 100, "executed": 100,
 //              "busy_ms": 120.000, "idle_ms": 280.000, "utilization": 0.3},
 //     "memory": {
 //       "peak_rss_bytes": 104857600,
@@ -48,10 +48,11 @@
 // the histogram p99 / p99_clamped summary values (p99_clamped is true when
 // the rank landed in the overflow bucket, so the reported p99 is only a
 // lower bound -- see obs::histogram_quantile); v5 drops the analytics
-// "speculation" totals, since the candidate-seed search has one scalar path.
-// Consumers must tolerate a missing "memory" or "jobs" section and an extra
-// analytics "speculation" object (v2-v4 reports remain renderable and
-// diffable; absent quantities diff as 0). Histogram summaries are guarded: a
+// "speculation" totals, since the candidate-seed search has one scalar path;
+// v6 drops the "jobs" steals count, since the job pool is one FIFO queue.
+// Consumers must tolerate a missing "memory" or "jobs" section, an extra
+// analytics "speculation" object and an extra "jobs" steals count (v2-v5
+// reports remain renderable and diffable; absent quantities diff as 0). Histogram summaries are guarded: a
 // histogram with no samples renders mean/p50/p90/p99 as 0, never NaN.
 // bytes_per_gate / bytes_per_fault divide the footprint total by the
 // flow.num_gates / flow.num_faults gauges (0 when the gauge is unset).
@@ -76,7 +77,6 @@ struct JobsSummary {
   std::uint64_t workers = 0;
   std::uint64_t submitted = 0;
   std::uint64_t executed = 0;
-  std::uint64_t steals = 0;
   double busy_ms = 0.0;
   double idle_ms = 0.0;      ///< workers * elapsed - busy, floored at 0
   double utilization = 0.0;  ///< busy / (workers * elapsed), in [0, 1]
@@ -85,7 +85,7 @@ struct JobsSummary {
 /// Everything that goes into one report. Fields are plain data so tests can
 /// build a fixed instance and pin the rendered bytes.
 struct RunReportData {
-  int schema_version = 5;
+  int schema_version = 6;
   std::string tool;
   std::string git_sha;
   std::string timestamp_utc;

@@ -1,5 +1,6 @@
 #include "rtl/elaborate.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <optional>
@@ -192,6 +193,39 @@ void skip_module_body(Tokenizer& tok) {
 
 // ---- flattening ----------------------------------------------------------
 
+/// Sizes the hierarchy before it is flattened, so a cyclic, too deep or too
+/// large design fails without allocating it. Counts are memoized per module
+/// and saturate just past kMaxElaborateCells; unknown modules count 0 here
+/// and are reported by Flattener::instantiate.
+struct HierarchySizer {
+  const std::map<std::string, PModule>& modules;
+  /// Flattened cells per module; nullopt while the module is on the path.
+  std::unordered_map<std::string, std::optional<std::size_t>> cells;
+
+  std::size_t count(const std::string& name, std::size_t depth) {
+    require(depth <= kMaxElaborateDepth, "elaborate_verilog",
+            "module hierarchy too deep");
+    const auto [it, fresh] = cells.try_emplace(name);
+    if (!fresh) {
+      require(it->second.has_value(), "elaborate_verilog",
+              ("module '" + name + "' instantiates itself").c_str());
+      return *it->second;
+    }
+    std::size_t total = 0;
+    if (const auto m = modules.find(name); m != modules.end()) {
+      const PModule& mod = m->second;
+      total = mod.gates.size() + mod.dffs.size() + mod.assigns.size();
+      for (const PInst& inst : mod.insts) {
+        total = std::min(kMaxElaborateCells + 1,
+                         total + 1 + inst.conns.size() +
+                             count(inst.module, depth + 1));
+      }
+    }
+    cells[name] = total;  // `it` may be stale after the recursive inserts
+    return total;
+  }
+};
+
 struct Flattener {
   const std::map<std::string, PModule>& modules;
 
@@ -307,8 +341,14 @@ RtlDesign elaborate_verilog(const std::string& text, const std::string& top) {
   require(modules.count(top) != 0, "elaborate_verilog",
           ("top module '" + top + "' not found").c_str());
 
+  require(HierarchySizer{modules, {}}.count(top, 0) <= kMaxElaborateCells,
+          "elaborate_verilog", "flattened design too large");
   Flattener flat(modules);
   flat.instantiate(top, "", {});
+  // Every top-level port gets a net, even one no gate or assign touches.
+  const PModule& top_module = modules.at(top);
+  for (const std::string& port : top_module.inputs) flat.key(port);
+  for (const std::string& port : top_module.outputs) flat.key(port);
 
   // Group keys by their union-find root; pick the shortest (then
   // lexicographically smallest) alias as the canonical node name, which
@@ -359,7 +399,7 @@ RtlDesign elaborate_verilog(const std::string& text, const std::string& top) {
   // Top-level input ports become primary inputs (the single clock excluded);
   // the emitted BIST top has none, but this lets the elaborator round-trip a
   // bare CUT module written by write_verilog.
-  for (const std::string& in : modules.at(top).inputs) {
+  for (const std::string& in : top_module.inputs) {
     if (in == "clk") continue;
     const int root = flat.find(flat.key_id.at(in));
     require(dff_of.count(root) == 0 && gate_of.count(root) == 0,
@@ -404,10 +444,12 @@ RtlDesign elaborate_verilog(const std::string& text, const std::string& top) {
     design.netlist.set_dff_input(node_of.at(flat.find(d.q)), it->second);
   }
   // Mark the top module's output ports.
-  for (const std::string& out : modules.at(top).outputs) {
-    const int root = flat.find(flat.key_id.at(out));
-    const NodeId node = node_of.at(root);
-    if (!design.netlist.is_output(node)) design.netlist.mark_output(node);
+  for (const std::string& out : top_module.outputs) {
+    const auto it = node_of.find(flat.find(flat.key_id.at(out)));
+    require(it != node_of.end(), "elaborate_verilog", "undriven output port");
+    if (!design.netlist.is_output(it->second)) {
+      design.netlist.mark_output(it->second);
+    }
   }
   design.netlist.finalize();
 

@@ -36,8 +36,13 @@ struct RtlDesign {
 /// Parses `text` and flattens the hierarchy under module `top`. The fbt_dff
 /// cell is treated as the primitive flip-flop (its behavioral body is
 /// skipped); the clock network is dropped -- the model is single-clock and
-/// steps on demand. Throws (via require) on any construct outside the subset
-/// or on multiply-driven / undriven nets.
+/// steps on demand. Throws (via require) on any construct outside the subset,
+/// on multiply-driven / undriven nets, and -- before flattening anything --
+/// on an instantiation cycle, a hierarchy deeper than kMaxElaborateDepth, or
+/// a flattened design of more than kMaxElaborateCells cells (gates, flops,
+/// assigns, module instances and their port connections).
+inline constexpr std::size_t kMaxElaborateDepth = 256;
+inline constexpr std::size_t kMaxElaborateCells = std::size_t{1} << 20;
 RtlDesign elaborate_verilog(const std::string& text, const std::string& top);
 
 /// Two-phase simulator over a flattened design: settle() evaluates the

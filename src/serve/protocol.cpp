@@ -260,7 +260,6 @@ std::string render_stats(const std::string& id, const ServiceStats& s) {
   out += ", \"queue_depth\": " + std::to_string(sch.queue_depth);
   out += ", \"submitted\": " + std::to_string(sch.submitted);
   out += ", \"executed\": " + std::to_string(sch.executed);
-  out += ", \"steals\": " + std::to_string(sch.steals);
   out += ", \"busy_ms\": " + fmt_double(sch.busy_ms);
   out += ", \"utilization\": " + fmt_double(sch.utilization);
   out += "}}";

@@ -113,7 +113,6 @@ struct SchedulerStats {
   std::uint64_t queue_depth = 0;
   std::uint64_t submitted = 0;
   std::uint64_t executed = 0;
-  std::uint64_t steals = 0;
   double busy_ms = 0.0;
   double utilization = 0.0;
 };

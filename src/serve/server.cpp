@@ -82,7 +82,6 @@ ServiceStats ExperimentService::collect_stats() const {
   out.scheduler.queue_depth = js.queue_depth;
   out.scheduler.submitted = js.submitted;
   out.scheduler.executed = js.executed;
-  out.scheduler.steals = js.steals;
   out.scheduler.busy_ms = js.busy_ms;
   out.scheduler.utilization = js.utilization;
   return out;
@@ -261,8 +260,9 @@ ExperimentSummary ExperimentService::run_experiment(
     }
     FBT_OBS_HIST_RECORD_LOG("serve.request_compute_ms", ms_since(compute_t0));
   });
-  while (!handle.done()) {
-    if (stream) drain_journal(cursor, id, emit);
+  // Only a streaming request polls; otherwise block until the task is done.
+  while (stream && !handle.done()) {
+    drain_journal(cursor, id, emit);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   jobs_.wait(handle);  // rethrows a failed run

@@ -8,9 +8,9 @@
 //   2. look up the experiment key -- a hit renders the stored summary
 //      without touching the flow (the >= 10x warm path);
 //   3. on a miss, fetch the derived artifacts (collapsed fault list,
-//      SWA_func calibration) through the cache and run the flow task graph
-//      on the shared pool, streaming journal events as progress lines while
-//      it executes;
+//      SWA_func calibration) through the cache and run the flow as one task
+//      on the shared pool; a streaming request polls the journal for
+//      progress lines while it executes, any other blocks until it is done;
 //   4. store the summary under the experiment key and render it. A result
 //      line carries only the request's own fields; the process-wide run
 //      report is written once, at shutdown.

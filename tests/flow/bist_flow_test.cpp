@@ -1,10 +1,7 @@
 #include "flow/bist_flow.hpp"
 
-#include <chrono>
-#include <latch>
 #include <set>
 #include <string>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -47,101 +44,48 @@ TEST(BistFlow, UnconstrainedExperimentEndToEnd) {
               100.0 * r.hw_area / r.circuit_area_um2, 1e-9);
 }
 
-TEST(BistFlow, TaskGraphOverloadMatchesSerialReference) {
+TEST(BistFlow, PoolOverloadMatchesSerialReference) {
   const BistExperimentConfig cfg = small_experiment("s298", "buffers");
   const BistExperimentResult serial = run_bist_experiment(cfg);
   jobs::JobSystem jobs(4);  // the CI container may report one core
-  const BistExperimentResult graph =
+  const BistExperimentResult pooled =
       run_bist_experiment(cfg, jobs, ExperimentArtifacts{});
-  EXPECT_EQ(graph.run.num_tests, serial.run.num_tests);
-  EXPECT_EQ(graph.run.num_seeds, serial.run.num_seeds);
-  EXPECT_EQ(graph.detected, serial.detected);
-  EXPECT_EQ(graph.detect_count, serial.detect_count);
-  EXPECT_DOUBLE_EQ(graph.swa_func, serial.swa_func);
-  EXPECT_DOUBLE_EQ(graph.fault_coverage_percent,
+  EXPECT_EQ(pooled.run.num_tests, serial.run.num_tests);
+  EXPECT_EQ(pooled.run.num_seeds, serial.run.num_seeds);
+  EXPECT_EQ(pooled.detected, serial.detected);
+  EXPECT_EQ(pooled.detect_count, serial.detect_count);
+  EXPECT_DOUBLE_EQ(pooled.swa_func, serial.swa_func);
+  EXPECT_DOUBLE_EQ(pooled.fault_coverage_percent,
                    serial.fault_coverage_percent);
 }
 
 #if FBT_OBS_ENABLED
-TEST(BistFlow, ChromeTraceShowsTheTaskGraphAcrossWorkers) {
-  // The exported trace of a multi-threaded run must form a real task graph:
-  // every parent edge resolves to a recorded span, spans land on more than
-  // one worker row (tid), and every flow arrow's start has a matching
-  // finish. This is the acceptance pin for cross-worker trace propagation.
+TEST(BistFlow, BatchFlowRunsOnTheCallingThread) {
+  // The flow is straight-line code: at num_threads = 1 it submits nothing
+  // to the pool, so every span it records carries the caller's tid.
   obs::PhaseTrace::instance().clear();
-  const BistExperimentConfig cfg = small_experiment("s298", "buffers");
+  BistExperimentConfig cfg = small_experiment("s298", "s386");
+  cfg.num_threads = 1;
   jobs::JobSystem jobs(4);
-  // Which thread runs a graph node must not be steal timing. Park every
-  // worker, then queue one gate per worker deque ahead of the flow's tasks.
-  // The caller's helping wait steals from the first deque's front, so it
-  // runs a gate before any graph node; that gate releases the workers and
-  // holds the caller until every other task has run. The artifact graph
-  // (calibrate included) therefore runs on the workers.
-  const std::thread::id caller = std::this_thread::get_id();
-  std::latch parked(static_cast<std::ptrdiff_t>(jobs.size()));
-  std::latch release(1);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs.submit([&] {
-      parked.count_down();
-      release.wait();
-    });
-  }
-  parked.wait();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs.submit([&] {
-      if (std::this_thread::get_id() != caller) return;
-      release.count_down();
-      for (;;) {
-        const jobs::SchedulerSnapshot snap = jobs.scheduler_snapshot();
-        if (snap.executed + 1 == snap.submitted) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-    });
-  }
   (void)run_bist_experiment(cfg, jobs, ExperimentArtifacts{});
+  EXPECT_EQ(jobs.scheduler_snapshot().submitted, 0u);
+  const std::uint32_t caller = obs::detail::trace_thread_tid();
 
   const std::string json = obs::PhaseTrace::instance().chrome_trace_json();
   obs::JsonValue doc;
   std::string error;
   ASSERT_TRUE(obs::json_parse(json, doc, error)) << error;
   ASSERT_TRUE(doc.is_array());
-
-  std::set<double> span_ids;
-  std::set<double> tids;
-  std::set<double> flow_starts;
-  std::set<double> flow_finishes;
-  bool saw_experiment_span = false;
-  for (const obs::JsonValue& event : doc.array) {
-    const std::string ph = event.find("ph")->as_string("");
-    if (ph == "X") {
-      span_ids.insert(event.find("args")->find("span_id")->as_number());
-      tids.insert(event.find("tid")->as_number());
-      saw_experiment_span |=
-          event.find("name")->as_string("") == "bist_experiment";
-    } else if (ph == "s") {
-      flow_starts.insert(event.find("id")->as_number());
-    } else if (ph == "f") {
-      flow_finishes.insert(event.find("id")->as_number());
-    }
-  }
-  EXPECT_TRUE(saw_experiment_span);
-  // Work actually spread across workers: more than one timeline row (the
-  // gates above make the workers run the artifact graph).
-  if (std::thread::hardware_concurrency() > 1) {
-    EXPECT_GE(tids.size(), 2u);
-  }
-  // Correct parent/child edges: every non-zero parent is a recorded span.
+  std::set<std::string> names;
   for (const obs::JsonValue& event : doc.array) {
     if (event.find("ph")->as_string("") != "X") continue;
-    const double parent =
-        event.find("args")->find("parent_span_id")->as_number();
-    if (parent != 0.0) {
-      EXPECT_EQ(span_ids.count(parent), 1u) << parent;
-    }
+    const std::string name = event.find("name")->as_string("");
+    names.insert(name);
+    EXPECT_EQ(event.find("tid")->as_number(), static_cast<double>(caller))
+        << name;
   }
-  // Flow arrows pair submit sites with execution sites.
-  EXPECT_FALSE(flow_starts.empty());
-  EXPECT_EQ(flow_starts, flow_finishes);
+  EXPECT_EQ(names.count("bist_experiment"), 1u);
+  EXPECT_EQ(names.count("calibrate"), 1u);
 }
 #endif  // FBT_OBS_ENABLED
 

@@ -154,7 +154,7 @@ TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
         "fault.faults_dropped", "flow.faults_detected",
         // Scheduler telemetry (PR 10): report consumers rely on the jobs
         // section existing even for single-threaded runs.
-        "jobs.submitted", "jobs.executed", "jobs.steals", "jobs.busy_us"}) {
+        "jobs.submitted", "jobs.executed", "jobs.busy_us"}) {
     bool found = false;
     for (const CounterSample& c : snap.counters) found |= c.name == name;
     EXPECT_TRUE(found) << name;
@@ -169,7 +169,7 @@ TEST(RegisterCoreCounters, CoreNamesAlwaysPresent) {
   // Request-latency histograms pre-register with the log-scale bounds so a
   // daemon's first stats response carries empty summaries, not absent keys.
   for (const char* name :
-       {"jobs.run_ms", "jobs.steal_latency_ms", "serve.request_queue_ms",
+       {"jobs.run_ms", "serve.request_queue_ms",
         "serve.request_cache_ms", "serve.request_compute_ms",
         "serve.request_render_ms", "serve.request_total_cold_ms",
         "serve.request_total_warm_ms"}) {

@@ -383,5 +383,27 @@ TEST(RenderHtmlDashboard, PreV4ReportDegradesSchedulerPanels) {
             std::string::npos);
 }
 
+TEST(RenderHtmlDashboard, SchemaV5ReportWithStealsRendersAndDiffs) {
+  // v6 dropped the "jobs" steals count; a v5 report that still carries it
+  // renders, and diffs against a v6 report from the real renderer.
+  std::string v5 = report_json_v4();
+  v5.replace(v5.find("\"schema_version\": 4"), 19, "\"schema_version\": 5");
+  const JsonValue base = parse_or_die(v5);
+  const std::string html = render_html_dashboard(base, "");
+  EXPECT_NE(html.find("<h2>Scheduler</h2>"), std::string::npos);
+  EXPECT_NE(html.find("steals"), std::string::npos);
+
+  RunReportData data;
+  data.tool = "fbt_serve";
+  data.jobs.workers = 4;
+  data.jobs.submitted = 40;
+  const std::string v6 = render_run_report(data);
+  EXPECT_EQ(v6.find("steals"), std::string::npos);
+  const JsonValue cur = parse_or_die(v6);
+  EXPECT_EQ(cur.find("schema_version")->as_number(), 6.0);
+  const DiffResult result = diff_run_reports(base, cur, DiffThresholds{});
+  EXPECT_FALSE(result.regression);
+}
+
 }  // namespace
 }  // namespace fbt::obs

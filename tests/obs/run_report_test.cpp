@@ -145,7 +145,6 @@ RunReportData golden_data() {
   data.jobs.workers = 4;
   data.jobs.submitted = 100;
   data.jobs.executed = 100;
-  data.jobs.steals = 7;
   data.jobs.busy_ms = 120.0;
   data.jobs.idle_ms = 280.0;
   data.jobs.utilization = 0.3;
@@ -163,8 +162,9 @@ RunReportData golden_data() {
 // p99/p99_clamped summary values (p99 of the golden histogram: rank 2.97
 // falls 97/100 into the [1, 10] bucket -> 9.73, not clamped).
 // v5 dropped the analytics "speculation" totals.
+// v6 dropped the "jobs" steals count.
 constexpr const char* kGoldenReport = R"({
-  "schema_version": 5,
+  "schema_version": 6,
   "tool": "golden_tool",
   "git_sha": "abc1234",
   "timestamp_utc": "2026-01-01T00:00:00Z",
@@ -193,7 +193,7 @@ constexpr const char* kGoldenReport = R"({
       {"sequence": 0, "segment": 0, "seed": 123, "tests": 100, "newly_detected": 42, "peak_swa": 12.5}
     ]
   },
-  "jobs": {"workers": 4, "submitted": 100, "executed": 100, "steals": 7, "busy_ms": 120.000, "idle_ms": 280.000, "utilization": 0.3},
+  "jobs": {"workers": 4, "submitted": 100, "executed": 100, "busy_ms": 120.000, "idle_ms": 280.000, "utilization": 0.3},
   "memory": {
     "peak_rss_bytes": 50331648,
     "current_rss_bytes": 33554432,

@@ -174,5 +174,78 @@ TEST(Elaborate, LegalizedIdentifiersRoundTrip) {
   EXPECT_NE(design.node(names.net[g]), kNoNode);
 }
 
+/// The message elaborate_verilog refuses `text` with, or "" if it accepts it.
+std::string elaborate_error(const std::string& text, const std::string& top) {
+  try {
+    (void)elaborate_verilog(text, top);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A one-input, one-output module `name` whose body is `body`.
+std::string wrapper_module(const std::string& name, const std::string& body) {
+  return "module " + name + " (a, y);\n  input a;\n  output y;\n" + body +
+         "endmodule\n";
+}
+
+TEST(Elaborate, RejectsSelfInstantiation) {
+  const std::string text = wrapper_module("m", "  m u (.a(a), .y(y));\n");
+  EXPECT_NE(elaborate_error(text, "m").find("instantiates itself"),
+            std::string::npos);
+}
+
+TEST(Elaborate, RejectsAnInstantiationCycle) {
+  const std::string text =
+      wrapper_module("ma", "  mb u (.a(a), .y(y));\n") +
+      wrapper_module("mb", "  ma u (.a(a), .y(y));\n");
+  EXPECT_NE(elaborate_error(text, "ma").find("instantiates itself"),
+            std::string::npos);
+}
+
+TEST(Elaborate, RejectsADoublingChainPastTheCellCap) {
+  // m0 is one inverter; m<k> chains two m<k-1>, so m<k> flattens to 2^k
+  // inverters. m10 is an ordinary design; m21 is refused before it is built.
+  std::string text = wrapper_module("m0", "  not g (y, a);\n");
+  for (int k = 1; k <= 21; ++k) {
+    const std::string child = "m" + std::to_string(k - 1);
+    text += wrapper_module("m" + std::to_string(k),
+                           "  wire w;\n  " + child + " u0 (.a(a), .y(w));\n  " +
+                               child + " u1 (.a(w), .y(y));\n");
+  }
+  EXPECT_EQ(elaborate_verilog(text, "m10").netlist.num_gates(), 1024u);
+  EXPECT_NE(elaborate_error(text, "m21").find("too large"),
+            std::string::npos);
+}
+
+TEST(Elaborate, RejectsAHierarchyPastTheDepthCap) {
+  std::string text = wrapper_module("d0", "  buf g (y, a);\n");
+  for (std::size_t k = 1; k <= kMaxElaborateDepth + 1; ++k) {
+    text += wrapper_module("d" + std::to_string(k),
+                           "  d" + std::to_string(k - 1) +
+                               " u (.a(a), .y(y));\n");
+  }
+  EXPECT_EQ(elaborate_error(text, "d" + std::to_string(kMaxElaborateDepth)),
+            "");
+  EXPECT_NE(elaborate_error(text, "d" + std::to_string(kMaxElaborateDepth + 1))
+                .find("too deep"),
+            std::string::npos);
+}
+
+TEST(Elaborate, UnusedTopInputsAreNetsAndUndrivenOutputsAreErrors) {
+  const RtlDesign design = elaborate_verilog(
+      "module t (a, b, y);\n  input a;\n  input b;\n  output y;\n"
+      "  not g (y, a);\nendmodule\n",
+      "t");
+  EXPECT_EQ(design.netlist.num_inputs(), 2u);
+  EXPECT_NE(design.node("b"), kNoNode);
+  EXPECT_EQ(elaborate_error(
+                "module u (a, y, z);\n  input a;\n  output y;\n  output z;\n"
+                "  not g (y, a);\nendmodule\n",
+                "u"),
+            "elaborate_verilog: undriven output port");
+}
+
 }  // namespace
 }  // namespace fbt

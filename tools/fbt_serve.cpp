@@ -9,7 +9,7 @@
 //       `stats` responses and the run report agree (in-flight requests still
 //       complete, they just no longer move the published numbers). On
 //       graceful exit it drains in-flight requests, flushes the NDJSON
-//       journal, writes a schema-v5 run report, and (with --trace) exports
+//       journal, writes a schema-v6 run report, and (with --trace) exports
 //       the Chrome trace of everything the daemon executed.
 //
 //   fbt_serve request --socket <path> --target <name> [--driver <name>]
@@ -348,12 +348,10 @@ int run_watch(const fbt::Cli& cli) {
     print_latency("compute", doc, "compute");
     print_latency("render", doc, "render");
     std::printf(
-        "scheduler: %.0f workers, %.1f%% utilization, depth %.0f, "
-        "%.0f steals\n",
+        "scheduler: %.0f workers, %.1f%% utilization, depth %.0f\n",
         stat_num(doc, "scheduler", "workers"),
         100.0 * stat_num(doc, "scheduler", "utilization"),
-        stat_num(doc, "scheduler", "queue_depth"),
-        stat_num(doc, "scheduler", "steals"));
+        stat_num(doc, "scheduler", "queue_depth"));
     std::fflush(stdout);
   }
   return 0;
