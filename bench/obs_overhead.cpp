@@ -1,8 +1,8 @@
 // Measures the walltime cost of the observability layer on the flow_smoke
 // workload (s298 under the buffers driver, the CI baseline configuration),
-// run as a task graph on a 4-worker pool so the tracing hot paths --
-// TraceContext capture/re-entry, flow arrows, scheduler clocks -- are all
-// exercised. CI builds this bench twice (FBT_OBS=ON and OFF), runs each,
+// handed a 4-worker pool. At the config's num_threads = 1 the flow runs on
+// the calling thread, so the gate prices its spans, counters and journal
+// events. CI builds this bench twice (FBT_OBS=ON and OFF), runs each,
 // and gates the ON/OFF delta of the obs.flow_run_ms gauge with
 // `fbt_report diff --max-obs-overhead-pct 2`.
 //

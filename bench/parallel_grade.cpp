@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   }
   bool all_identical = true;
   for (const std::size_t threads : configs) {
-    fbt::BroadsideFaultSim packed(nl, 64, nullptr, threads);
+    fbt::BroadsideFaultSim packed(nl, 64, threads);
     std::vector<std::uint32_t> counts;
     double best_ms = 1e300;
     for (std::size_t r = 0; r < repeats; ++r) {

@@ -137,8 +137,8 @@ int main(int argc, char** argv) {
   if (hw != 2 && hw != 1) configs.push_back({64, hw});
   std::vector<std::unique_ptr<fbt::BroadsideFaultSim>> sims;
   for (const Config& c : configs) {
-    sims.push_back(std::make_unique<fbt::BroadsideFaultSim>(nl, c.width, nullptr,
-                                                            c.threads));
+    sims.push_back(
+        std::make_unique<fbt::BroadsideFaultSim>(nl, c.width, c.threads));
   }
 
   // Timed repeats run interleaved across the engines: a noisy phase of a

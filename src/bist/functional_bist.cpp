@@ -15,10 +15,9 @@ FunctionalBistGenerator::FunctionalBistGenerator(
 
 FunctionalBistGenerator::FunctionalBistGenerator(
     const Netlist& netlist, const FunctionalBistConfig& config,
-    std::shared_ptr<const FlatFanins> flat, jobs::JobSystem* jobs)
+    std::shared_ptr<const FlatFanins> /*flat*/, jobs::JobSystem* jobs)
     : netlist_(&netlist),
       config_(config),
-      flat_(std::move(flat)),
       jobs_(jobs),
       tpg_(netlist, config.tpg),
       rng_(config.rng_seed, 0xb5ad4eceda1ce2a9ULL) {
@@ -129,8 +128,8 @@ FunctionalBistResult FunctionalBistGenerator::run(
   result.first_detect.assign(faults.size(), FaultFirstDetect{});
   BroadsideFaultSim fsim(*netlist_,
                          static_cast<std::uint32_t>(config_.fault_pack_width),
-                         flat_, config_.num_threads, jobs_);
-  SeqSim sim = flat_ != nullptr ? SeqSim(*netlist_, flat_) : SeqSim(*netlist_);
+                         config_.num_threads, jobs_);
+  SeqSim sim(*netlist_);
 
   // Provenance bookkeeping: applied-test stream position and the running
   // detected-fault count (faults at the detect limit), both advanced only by

@@ -114,9 +114,9 @@ class FunctionalBistGenerator {
   FunctionalBistGenerator(const Netlist& netlist,
                           const FunctionalBistConfig& config);
 
-  /// Flow constructor: shares a pre-built FlatFanins view of `netlist`
-  /// with the internal simulators (nullptr builds one) and runs fault
-  /// grading on `jobs` (nullptr selects the process-wide pool).
+  /// Flow constructor: runs fault grading on `jobs` (nullptr selects the
+  /// process-wide pool). `flat` is ignored: the simulators read `netlist`'s
+  /// own arrays. Kept only because the fbtbench harness still passes it.
   FunctionalBistGenerator(const Netlist& netlist,
                           const FunctionalBistConfig& config,
                           std::shared_ptr<const FlatFanins> flat,
@@ -147,8 +147,7 @@ class FunctionalBistGenerator {
 
   const Netlist* netlist_;
   FunctionalBistConfig config_;
-  std::shared_ptr<const FlatFanins> flat_;  ///< shared CSR; may be null
-  jobs::JobSystem* jobs_ = nullptr;         ///< grading substrate; may be null
+  jobs::JobSystem* jobs_ = nullptr;  ///< grading substrate; may be null
   Tpg tpg_;
   Pcg32 rng_;
   std::vector<std::uint8_t> hold_mask_;  ///< per flop; empty when no holding

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "bist/lfsr.hpp"
-#include "obs/instrument.hpp"
 #include "util/require.hpp"
 
 namespace fbt {
@@ -14,9 +13,6 @@ Misr::Misr(unsigned stages)
       mask_(stages == 32 ? 0xffffffffu : ((1u << stages) - 1)) {}
 
 void Misr::absorb(std::span<const std::uint8_t> response) {
-#if FBT_OBS_ENABLED
-  cycles_absorbed_.add(1);
-#endif
   std::uint32_t incoming = 0;
   for (std::size_t i = 0; i < response.size(); ++i) {
     if (response[i]) incoming ^= 1u << (i % stages_);

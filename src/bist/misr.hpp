@@ -9,8 +9,6 @@
 #include <cstdint>
 #include <span>
 
-#include "obs/metrics.hpp"
-
 namespace fbt {
 
 class Misr {
@@ -35,8 +33,6 @@ class Misr {
   std::uint32_t taps_;
   std::uint32_t mask_;
   std::uint32_t state_ = 0;
-  // Batched per-clock counter (absorb runs once per simulated cycle).
-  obs::LocalCounter cycles_absorbed_{"bist.misr_cycles_absorbed"};
 };
 
 }  // namespace fbt

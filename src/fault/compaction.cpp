@@ -118,7 +118,7 @@ std::vector<std::size_t> reduce_groups(const Netlist& netlist,
   // Reverse-order sweep with fault dropping: grading group g at limit 1
   // credits only faults no later group detected, so a positive return is
   // exactly "g detects something the later groups miss".
-  BroadsideFaultSim sim(netlist, fault_pack_width, nullptr, num_threads, jobs);
+  BroadsideFaultSim sim(netlist, fault_pack_width, num_threads, jobs);
   std::vector<std::uint32_t> covered(faults.size(), 0);
   const std::span<const BroadsideTest> all(tests);
   std::vector<std::size_t> kept;

@@ -85,7 +85,6 @@ std::vector<std::uint8_t> second_state(const Netlist& netlist,
 
 BroadsideFaultSim::BroadsideFaultSim(const Netlist& netlist,
                                      std::uint32_t fault_pack_width,
-                                     std::shared_ptr<const FlatFanins> flat,
                                      std::size_t num_threads,
                                      jobs::JobSystem* jobs)
     : netlist_(&netlist),
@@ -96,12 +95,8 @@ BroadsideFaultSim::BroadsideFaultSim(const Netlist& netlist,
   state2_.assign(netlist.num_flops(), 0);
   if (pack_width_ > 1) {
     walkers_.resize(jobs::JobSystem::resolve_threads(num_threads));
-    if (walkers_.size() > 1 && flat == nullptr) {
-      // One immutable CSR shared by every walker's packed kernel.
-      flat = std::make_shared<const FlatFanins>(netlist);
-    }
     for (Walker& w : walkers_) {
-      w.prop = std::make_unique<PackedFaultProp>(netlist, flat);
+      w.prop = std::make_unique<PackedFaultProp>(netlist);
     }
     good2_values_.assign(netlist.size(), 0);
   }

@@ -34,7 +34,6 @@
 #include "fault/broadside_test.hpp"
 #include "fault/fault.hpp"
 #include "jobs/job_system.hpp"
-#include "netlist/flat_fanins.hpp"
 #include "sim/bitsim.hpp"
 #include "sim/packed_faultprop.hpp"
 
@@ -85,15 +84,13 @@ class BroadsideFaultSim {
   /// `fault_pack_width` > 1 selects the PPSFP engine: the active fault list
   /// is walked in groups of up to `fault_pack_width` (clamped to [1, 64])
   /// bit-lanes propagated together against the shared good-machine trace.
-  /// 1 (and 0) keeps the serial reference engine. `flat` optionally shares a
-  /// pre-built CSR of `netlist` with the packed engine (nullptr builds one;
-  /// ignored when serial). `num_threads` PPSFP walkers (0 = hardware
-  /// concurrency, JobSystem's rule) split each block's fault groups between
-  /// them as tasks on `jobs` (the process-wide pool when null; it must
-  /// outlive this object); the serial engine ignores both.
+  /// 1 (and 0) keeps the serial reference engine. `num_threads` PPSFP
+  /// walkers (0 = hardware concurrency, JobSystem's rule) split each block's
+  /// fault groups between them as parallel_for indices on `jobs` (the
+  /// process-wide pool when null; it must outlive this object); the serial
+  /// engine ignores both.
   explicit BroadsideFaultSim(const Netlist& netlist,
                              std::uint32_t fault_pack_width = 1,
-                             std::shared_ptr<const FlatFanins> flat = nullptr,
                              std::size_t num_threads = 1,
                              jobs::JobSystem* jobs = nullptr);
 

@@ -70,9 +70,7 @@ BistExperimentResult run_bist_experiment(const BistExperimentConfig& config,
                               .rtl = {}};
   result.detect_count.assign(result.faults.size(), 0);
 
-  FunctionalBistGenerator generator(
-      result.target, gen, std::make_shared<const FlatFanins>(result.target),
-      &jobs);
+  FunctionalBistGenerator generator(result.target, gen, nullptr, &jobs);
   result.nsp = generator.tpg().cube().specified_count();
   result.run = generator.run(result.faults, result.detect_count);
   result.seeds_before_reduction = result.run.num_seeds;

@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <limits>
 
 #include "obs/instrument.hpp"
-#include "util/require.hpp"
 
 namespace fbt::jobs {
 
 namespace {
 
-// The pool owning the current thread, so wait() can refuse to block a
-// worker of its own pool.
-thread_local const JobSystem* tls_pool = nullptr;
-
-/// Shared state of one parallel_for call. Helper tasks hold it by
-/// shared_ptr, so a helper that starts after the call returned still finds
-/// valid memory; it finds the cursor exhausted and never touches `task`.
+/// Shared state of one parallel_for call. Helpers hold it by shared_ptr, so
+/// a helper that starts after the call returned still finds valid memory;
+/// it finds the cursor exhausted and never touches `task`.
 struct ForState {
   const std::function<void(std::size_t)>* task = nullptr;
   std::size_t num_tasks = 0;
@@ -55,12 +51,6 @@ void run_claimed(ForState& st) {
 
 }  // namespace
 
-bool TaskHandle::done() const {
-  if (state_ == nullptr) return true;
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  return state_->done;
-}
-
 std::size_t JobSystem::resolve_threads(std::size_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -90,104 +80,47 @@ JobSystem::~JobSystem() {
   for (std::thread& w : workers_) w.join();
 }
 
-TaskHandle JobSystem::submit(std::function<void()> fn) {
-  auto state = std::make_shared<detail::TaskState>();
-  state->fn = std::move(fn);
-#if FBT_OBS_ENABLED
-  // Capture the submitter's trace position before the task is queued
-  // (execute() re-enters it on whichever worker runs fn). The flow id pairs
-  // the Chrome "s"/"f" arrow from here to there; untraced submits (no
-  // enclosing span) skip the arrow to keep the trace buffer proportional to
-  // instrumented work.
-  state->trace = obs::current_trace_context();
-  if (state->trace.span_id != 0) {
-    state->flow_id = obs::detail::next_flow_id();
-    state->submit_us = obs::detail::trace_now_us();
-    state->submit_tid = obs::detail::trace_thread_tid();
-  }
-#endif
+void JobSystem::enqueue(std::function<void()> helper) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   FBT_OBS_COUNTER_ADD("jobs.submitted", 1);
   std::size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(state);
+    queue_.push_back(std::move(helper));
     depth = queue_.size();
   }
   FBT_OBS_GAUGE_SET("jobs.queue_depth", depth);
   ready_cv_.notify_one();
-  return TaskHandle(std::move(state));
-}
-
-void JobSystem::execute(detail::TaskState& state, std::size_t worker) {
-  std::exception_ptr error;
-#if FBT_OBS_ENABLED
-  if (state.flow_id != 0) {
-    // Chrome flow arrow: submit site -> this execution site.
-    obs::PhaseTrace::instance().add_flow(
-        {state.flow_id, state.submit_us, state.submit_tid,
-         obs::detail::trace_now_us(), obs::detail::trace_thread_tid()});
-  }
-  const auto run_t0 = std::chrono::steady_clock::now();
-#endif
-  {
-#if FBT_OBS_ENABLED
-    // Re-enter the submitter's trace position: spans fn opens chain to the
-    // submitter instead of fragmenting into parentless roots (stitched back
-    // by PhaseTrace::summarize()).
-    obs::TraceContextScope trace_scope(state.trace);
-#endif
-    try {
-      state.fn();
-    } catch (...) {
-      error = std::current_exception();
-    }
-  }
-#if FBT_OBS_ENABLED
-  const double run_us = std::chrono::duration<double, std::micro>(
-                            std::chrono::steady_clock::now() - run_t0)
-                            .count();
-  FBT_OBS_HIST_RECORD_LOG("jobs.run_ms", run_us / 1000.0);
-  FBT_OBS_COUNTER_ADD("jobs.busy_us", static_cast<std::uint64_t>(run_us));
-  busy_us_[worker].fetch_add(static_cast<std::uint64_t>(run_us),
-                             std::memory_order_relaxed);
-#else
-  (void)worker;
-#endif
-  state.fn = nullptr;  // release captured resources before signalling done
-  executed_.fetch_add(1, std::memory_order_relaxed);
-  FBT_OBS_COUNTER_ADD("jobs.executed", 1);
-  {
-    std::lock_guard<std::mutex> lock(state.mutex);
-    state.error = error;
-    state.done = true;
-  }
-  state.cv.notify_all();
 }
 
 void JobSystem::worker_loop(std::size_t index) {
-  tls_pool = this;
   while (true) {
-    std::shared_ptr<detail::TaskState> task;
+    std::function<void()> helper;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       ready_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping, and every task has run
-      task = std::move(queue_.front());
+      if (queue_.empty()) return;  // stopping, and every helper has run
+      helper = std::move(queue_.front());
       queue_.pop_front();
     }
-    execute(*task, index);
+#if FBT_OBS_ENABLED
+    const auto run_t0 = std::chrono::steady_clock::now();
+#endif
+    helper();  // run_claimed catches every index's exception into ForState
+#if FBT_OBS_ENABLED
+    const double run_us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - run_t0)
+                              .count();
+    FBT_OBS_HIST_RECORD_LOG("jobs.run_ms", run_us / 1000.0);
+    FBT_OBS_COUNTER_ADD("jobs.busy_us", static_cast<std::uint64_t>(run_us));
+    busy_us_[index].fetch_add(static_cast<std::uint64_t>(run_us),
+                              std::memory_order_relaxed);
+#else
+    (void)index;
+#endif
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    FBT_OBS_COUNTER_ADD("jobs.executed", 1);
   }
-}
-
-void JobSystem::wait(const TaskHandle& handle) {
-  if (!handle.valid()) return;
-  require(tls_pool != this, "JobSystem::wait",
-          "called on a worker of the same pool (use parallel_for)");
-  detail::TaskState& state = *handle.state_;
-  std::unique_lock<std::mutex> lock(state.mutex);
-  state.cv.wait(lock, [&state] { return state.done; });
-  if (state.error != nullptr) std::rethrow_exception(state.error);
 }
 
 void JobSystem::parallel_for(std::size_t num_tasks,
@@ -202,7 +135,7 @@ void JobSystem::parallel_for(std::size_t num_tasks,
   st->num_tasks = num_tasks;
   const std::size_t helpers = std::min(size(), num_tasks) - 1;
   for (std::size_t h = 0; h < helpers; ++h) {
-    submit([st] { run_claimed(*st); });
+    enqueue([st] { run_claimed(*st); });
   }
   run_claimed(*st);
   std::exception_ptr error;

@@ -9,6 +9,9 @@ namespace fbt::obs {
 
 namespace {
 
+/// The innermost live JournalTap of this thread, or null.
+thread_local JournalTap* tls_tap = nullptr;
+
 void append_value(const EventValue& v, std::string& out) {
   char buf[48];
   switch (v.kind) {
@@ -57,9 +60,17 @@ void EventJournal::emit(
   for (const auto& [key, value] : fields) {
     event.fields.emplace_back(std::string(key), value);
   }
-  std::lock_guard lock(mutex_);
-  event.seq = next_seq_++;
-  events_.push_back(std::move(event));
+  JournalTap* const tap = tls_tap;
+  {
+    std::lock_guard lock(mutex_);
+    event.seq = next_seq_++;
+    if (tap == nullptr) {
+      events_.push_back(std::move(event));
+      return;
+    }
+    events_.push_back(event);
+  }
+  tap->sink_(event);
 }
 
 std::vector<JournalEvent> EventJournal::events(std::size_t from) const {
@@ -118,5 +129,12 @@ EventJournal& journal() {
   static EventJournal instance;
   return instance;
 }
+
+JournalTap::JournalTap(std::function<void(const JournalEvent&)> sink)
+    : sink_(std::move(sink)), outer_(tls_tap) {
+  tls_tap = this;
+}
+
+JournalTap::~JournalTap() { tls_tap = outer_; }
 
 }  // namespace fbt::obs

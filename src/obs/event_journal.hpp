@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <mutex>
 #include <string>
@@ -101,5 +102,25 @@ class EventJournal {
 
 /// The process-wide journal used by the FBT_OBS_EVENT macro.
 EventJournal& journal();
+
+/// RAII tap on the events the constructing thread emits: while it lives,
+/// every EventJournal::emit on that thread passes the recorded event (seq
+/// assigned) to `sink` after the journal has released its lock. The events
+/// still land in the journal. Taps nest; the innermost one receives. The
+/// serve daemon streams a request's progress lines through one, since a
+/// request computes on one thread -- the hook for request-scoped event
+/// buffers.
+class JournalTap {
+ public:
+  explicit JournalTap(std::function<void(const JournalEvent&)> sink);
+  ~JournalTap();
+  JournalTap(const JournalTap&) = delete;
+  JournalTap& operator=(const JournalTap&) = delete;
+
+ private:
+  friend class EventJournal;
+  std::function<void(const JournalEvent&)> sink_;
+  JournalTap* outer_;  ///< the tap this one shadows, restored on exit
+};
 
 }  // namespace fbt::obs

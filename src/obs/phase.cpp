@@ -1,6 +1,5 @@
 #include "obs/phase.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -35,10 +34,6 @@ struct OpenSpan {
 
 thread_local std::vector<OpenSpan> open_spans;
 
-// Context adopted from another thread via TraceContextScope; consulted only
-// when the local open-span stack is empty.
-thread_local TraceContext adopted_context;
-
 // Small sequential id per thread, assigned on the thread's first span. The
 // main thread of a typical run gets 1, workers 2..N; ids are never reused
 // within a process.
@@ -49,9 +44,8 @@ std::uint32_t this_thread_tid() {
   return tid;
 }
 
-// Span and flow-arrow ids share one process-wide sequence starting at 1, so
-// a parent's span_id is always smaller than any of its children's (spans
-// open after their parents) and 0 stays the "no parent" sentinel.
+// Span ids come from one process-wide sequence starting at 1, so 0 stays
+// the "no parent" sentinel.
 std::uint64_t next_span_id() {
   static std::atomic<std::uint64_t> next_id{1};
   return next_id.fetch_add(1, std::memory_order_relaxed);
@@ -106,36 +100,6 @@ void render_events(const PhaseNode& node, bool& first, std::string& out) {
   }
 }
 
-void render_flow(const FlowArrow& arrow, bool& first, std::string& out) {
-  char buf[192];
-  // "s" marks the submit site, "f" with bp:"e" binds the arrowhead to the
-  // enclosing slice at the execution site. Chrome requires a "cat" on flow
-  // events.
-  std::snprintf(buf, sizeof(buf),
-                "%s  {\"name\": \"job\", \"cat\": \"jobs\", \"ph\": \"s\", "
-                "\"id\": %" PRIu64 ", \"ts\": %" PRIu64
-                ", \"pid\": 1, \"tid\": %" PRIu32 "},\n",
-                first ? "\n" : ",\n", arrow.id, arrow.src_ts_us,
-                arrow.src_tid);
-  first = false;
-  out += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  {\"name\": \"job\", \"cat\": \"jobs\", \"ph\": \"f\", "
-                "\"bp\": \"e\", \"id\": %" PRIu64 ", \"ts\": %" PRIu64
-                ", \"pid\": 1, \"tid\": %" PRIu32 "}",
-                arrow.id, arrow.dst_ts_us, arrow.dst_tid);
-  out += buf;
-}
-
-/// Depth-first search for the span with `id`; nullptr when absent.
-PhaseNode* find_span(PhaseNode& node, std::uint64_t id) {
-  if (node.span_id == id) return &node;
-  for (PhaseNode& c : node.children) {
-    if (PhaseNode* found = find_span(c, id)) return found;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 double PhaseNode::self_ms() const {
@@ -144,21 +108,6 @@ double PhaseNode::self_ms() const {
   return static_cast<double>(dur_us > child_us ? dur_us - child_us : 0) /
          1000.0;
 }
-
-TraceContext current_trace_context() {
-  if (!open_spans.empty()) {
-    const PhaseNode& top = open_spans.back().node;
-    return {top.span_id, top.parent_span_id};
-  }
-  return adopted_context;
-}
-
-TraceContextScope::TraceContextScope(TraceContext ctx)
-    : saved_(adopted_context) {
-  adopted_context = ctx;
-}
-
-TraceContextScope::~TraceContextScope() { adopted_context = saved_; }
 
 PhaseTrace& PhaseTrace::instance() {
   static PhaseTrace trace;
@@ -170,29 +119,14 @@ void PhaseTrace::add_root(PhaseNode node) {
   roots_.push_back(std::move(node));
 }
 
-void PhaseTrace::add_flow(const FlowArrow& arrow) {
-  std::lock_guard lock(mutex_);
-  flows_.push_back(arrow);
-}
-
 std::vector<PhaseNode> PhaseTrace::roots() const {
   std::lock_guard lock(mutex_);
   return roots_;
 }
 
-std::vector<FlowArrow> PhaseTrace::flows() const {
-  std::lock_guard lock(mutex_);
-  return flows_;
-}
-
-std::vector<PhaseNode> PhaseTrace::stitched_roots() const {
-  return stitch_phase_roots(roots());
-}
-
 void PhaseTrace::clear() {
   std::lock_guard lock(mutex_);
   roots_.clear();
-  flows_.clear();
 }
 
 namespace {
@@ -209,48 +143,11 @@ std::uint64_t PhaseTrace::footprint_bytes() const {
   std::lock_guard lock(mutex_);
   std::uint64_t bytes = 0;
   for (const PhaseNode& n : roots_) bytes += node_footprint(n);
-  bytes += flows_.size() * sizeof(FlowArrow);
   return bytes;
 }
 
-std::vector<PhaseNode> stitch_phase_roots(std::vector<PhaseNode> roots) {
-  // Each pass moves one detached root under its parent, then restarts (the
-  // erase invalidates positions). A root whose parent is itself a detached
-  // root still resolves: the move searches every other root's subtree, and
-  // a later pass moves the parent with the child already attached. Bounded:
-  // every pass removes one root or terminates the loop.
-  bool moved = true;
-  while (moved) {
-    moved = false;
-    for (std::size_t i = 0; i < roots.size() && !moved; ++i) {
-      const std::uint64_t want = roots[i].parent_span_id;
-      if (want == 0) continue;
-      bool resolvable = false;
-      for (std::size_t j = 0; j < roots.size() && !resolvable; ++j) {
-        resolvable = j != i && find_span(roots[j], want) != nullptr;
-      }
-      if (!resolvable) continue;
-      PhaseNode node = std::move(roots[i]);
-      roots.erase(roots.begin() + static_cast<std::ptrdiff_t>(i));
-      for (std::size_t j = 0; j < roots.size(); ++j) {
-        if (PhaseNode* parent = find_span(roots[j], want)) {
-          // Insert among the children in start order so summaries and
-          // renders are deterministic regardless of completion order.
-          auto pos = std::find_if(
-              parent->children.begin(), parent->children.end(),
-              [&node](const PhaseNode& c) {
-                return c.start_us > node.start_us ||
-                       (c.start_us == node.start_us &&
-                        c.span_id > node.span_id);
-              });
-          parent->children.insert(pos, std::move(node));
-          break;
-        }
-      }
-      moved = true;
-    }
-  }
-  return roots;
+double PhaseTrace::elapsed_ms() {
+  return static_cast<double>(now_us()) / 1000.0;
 }
 
 std::vector<PhaseSummary> summarize_phases(
@@ -288,7 +185,7 @@ std::vector<PhaseSummary> summarize_phases(
 }
 
 std::vector<PhaseSummary> PhaseTrace::summarize() const {
-  return summarize_phases(stitched_roots());
+  return summarize_phases(roots());
 }
 
 std::string PhaseTrace::tree_string() const {
@@ -298,17 +195,10 @@ std::string PhaseTrace::tree_string() const {
 }
 
 std::string PhaseTrace::chrome_trace_json() const {
-  std::vector<PhaseNode> nodes;
-  std::vector<FlowArrow> arrows;
-  {
-    std::lock_guard lock(mutex_);
-    nodes = roots_;
-    arrows = flows_;
-  }
+  const std::vector<PhaseNode> nodes = roots();
   std::string out = "[";
   bool first = true;
   for (const PhaseNode& n : nodes) render_events(n, first, out);
-  for (const FlowArrow& a : arrows) render_flow(a, first, out);
   out += first ? "]" : "\n]";
   out += "\n";
   return out;
@@ -319,9 +209,8 @@ PhaseSpan::PhaseSpan(std::string name) {
   span.node.name = std::move(name);
   span.node.tid = this_thread_tid();
   span.node.span_id = next_span_id();
-  span.node.parent_span_id = open_spans.empty()
-                                 ? adopted_context.span_id
-                                 : open_spans.back().node.span_id;
+  span.node.parent_span_id =
+      open_spans.empty() ? 0 : open_spans.back().node.span_id;
   span.node.rss_open_bytes = sampled_rss_bytes();
   span.node.start_us = now_us();
   open_spans.push_back(std::move(span));
@@ -334,9 +223,6 @@ PhaseSpan::~PhaseSpan() {
   node.dur_us = now_us() - node.start_us;
   node.rss_close_bytes = sampled_rss_bytes();
   if (open_spans.empty()) {
-    // Roots with a nonzero parent_span_id are *detached*: the logical
-    // parent is open on another thread. stitch_phase_roots() re-attaches
-    // them once both have completed.
     PhaseTrace::instance().add_root(std::move(node));
   } else {
     open_spans.back().node.children.push_back(std::move(node));
@@ -352,12 +238,6 @@ bool charge_open_phase(std::uint64_t bytes, std::uint64_t count) {
   node.alloc_count += count;
   return true;
 }
-
-std::uint64_t trace_now_us() { return now_us(); }
-
-std::uint32_t trace_thread_tid() { return this_thread_tid(); }
-
-std::uint64_t next_flow_id() { return next_span_id(); }
 
 }  // namespace detail
 

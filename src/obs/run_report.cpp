@@ -95,8 +95,7 @@ RunReportData collect_run_report(
   data.metrics = registry().snapshot();
   data.analytics = derive_analytics(journal().events());
   // "jobs" utilization (schema v4) from the pre-registered scheduler
-  // metrics; elapsed is wall time since the trace epoch, which a JobSystem
-  // constructor establishes before any task runs.
+  // metrics; elapsed is wall time since the trace epoch.
   for (const CounterSample& c : data.metrics.counters) {
     if (c.name == "jobs.submitted") data.jobs.submitted = c.value;
     if (c.name == "jobs.executed") data.jobs.executed = c.value;
@@ -110,8 +109,7 @@ RunReportData collect_run_report(
     }
   }
   if (data.jobs.workers > 0) {
-    const double elapsed_ms =
-        static_cast<double>(detail::trace_now_us()) / 1000.0;
+    const double elapsed_ms = PhaseTrace::elapsed_ms();
     const double capacity_ms =
         elapsed_ms * static_cast<double>(data.jobs.workers);
     if (capacity_ms > 0.0) {

@@ -40,22 +40,13 @@ LatencyStats latency_from(const obs::MetricsSnapshot& snap,
   return out;
 }
 
-/// Streams journal events in [cursor, size) as progress lines; advances
-/// cursor.
-void drain_journal(std::size_t& cursor, const std::string& id,
-                   const std::function<void(const std::string&)>& emit) {
-  const std::vector<obs::JournalEvent> events = obs::journal().events(cursor);
-  for (const obs::JournalEvent& event : events) {
-    emit(render_progress(id, event));
-  }
-  cursor += events.size();
-}
-
 }  // namespace
 
 ExperimentService::ExperimentService(jobs::JobSystem& jobs,
                                      ArtifactCache& cache)
-    : jobs_(jobs), cache_(cache) {
+    : jobs_(jobs),
+      cache_(cache),
+      compute_slots_(static_cast<std::ptrdiff_t>(jobs.size())) {
   // Pre-register the jobs.* / serve.request_* instruments so the stats
   // response always carries the full set (zero-valued before any request).
   obs::register_core_counters();
@@ -242,34 +233,31 @@ ExperimentSummary ExperimentService::run_experiment(
   }
   FBT_OBS_HIST_RECORD_LOG("serve.request_cache_ms", ms_since(cache_t0));
 
-  // Run the flow as a task on the shared pool, streaming journal events
-  // while it executes (see the header's interleaving caveat). queue-wait is
-  // submit -> first instruction of the task (written by the worker, read
-  // only after wait() synchronizes on task completion); compute is the
-  // task's own run time.
-  const bool stream = emit != nullptr && request.stream_progress;
-  std::size_t cursor = obs::journal().size();
+  // Wait for one of the compute slots (the queue segment), then run the
+  // flow on this thread. A streaming request's tap sees exactly this run's
+  // events.
   std::optional<BistExperimentResult> result;
-  const auto submit_t = std::chrono::steady_clock::now();
-  std::chrono::steady_clock::time_point compute_t0 = submit_t;
-  const jobs::TaskHandle handle = jobs_.submit([&] {
-    compute_t0 = std::chrono::steady_clock::now();
+  {
+    const auto queue_t0 = std::chrono::steady_clock::now();
+    compute_slots_.acquire();
+    struct SlotRelease {
+      std::counting_semaphore<>& slots;
+      ~SlotRelease() { slots.release(); }
+    } slot{compute_slots_};
+    FBT_OBS_HIST_RECORD_LOG("serve.request_queue_ms", ms_since(queue_t0));
+    std::optional<obs::JournalTap> tap;
+    if (emit != nullptr && request.stream_progress) {
+      tap.emplace([&emit, &id](const obs::JournalEvent& event) {
+        emit(render_progress(id, event));
+      });
+    }
+    const auto compute_t0 = std::chrono::steady_clock::now();
     {
       FBT_OBS_PHASE("request_compute");
       result.emplace(run_bist_experiment(config, jobs_, artifacts));
     }
     FBT_OBS_HIST_RECORD_LOG("serve.request_compute_ms", ms_since(compute_t0));
-  });
-  // Only a streaming request polls; otherwise block until the task is done.
-  while (stream && !handle.done()) {
-    drain_journal(cursor, id, emit);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  jobs_.wait(handle);  // rethrows a failed run
-  const double queue_ms =
-      std::chrono::duration<double, std::milli>(compute_t0 - submit_t).count();
-  FBT_OBS_HIST_RECORD_LOG("serve.request_queue_ms", queue_ms);
-  if (stream) drain_journal(cursor, id, emit);
 
   ExperimentSummary summary;
   summary.target = request.target.empty() ? "inline" : request.target;

@@ -2,15 +2,17 @@
 // shared JobSystem + ArtifactCache, and SocketServer exposes it on a local
 // AF_UNIX socket with NDJSON framing.
 //
-// Request lifecycle (experiment):
+// Request lifecycle (experiment), all on the thread that read the request:
 //   1. resolve target/driver netlists through the cache (content keys; the
 //      name -> key memo makes repeat requests for named benchmarks O(1));
 //   2. look up the experiment key -- a hit renders the stored summary
 //      without touching the flow (the >= 10x warm path);
 //   3. on a miss, fetch the derived artifacts (collapsed fault list,
-//      SWA_func calibration) through the cache and run the flow as one task
-//      on the shared pool; a streaming request polls the journal for
-//      progress lines while it executes, any other blocks until it is done;
+//      SWA_func calibration) through the cache, wait for one of the
+//      jobs.size() compute slots, and run the flow; its fault grading fans
+//      out over the shared pool with parallel_for. A streaming request
+//      taps the journal on this thread, so its progress lines are its own
+//      events, sent as they happen;
 //   4. store the summary under the experiment key and render it. A result
 //      line carries only the request's own fields; the process-wide run
 //      report is written once, at shutdown.
@@ -19,10 +21,6 @@
 // fault_pack_width (results are bit-identical across them), so a request
 // repeated at a different parallelism setting is a legitimate warm hit; the
 // detect_hash / first_detect_hash fields prove it bit-identical.
-//
-// Progress caveat: the journal is process-wide, so when several experiments
-// run concurrently each client's progress stream may interleave events from
-// the others. Result lines are always computed from the request's own run.
 #pragma once
 
 #include <atomic>
@@ -31,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,8 +50,9 @@ class ExperimentService {
   bool handle_line(const std::string& line,
                    const std::function<void(const std::string&)>& emit);
 
-  /// Direct (in-process) experiment execution; the socket path and the
-  /// bench harness share it. `emit`, when set, receives progress lines.
+  /// Direct (in-process) experiment execution on the calling thread; the
+  /// socket path and the bench harness share it. `emit`, when set, receives
+  /// the progress lines of this run's own journal events as they happen.
   /// Sets `*cache_hit` to whether the experiment key was already cached.
   ExperimentSummary run_experiment(
       const ExperimentRequest& request, bool* cache_hit,
@@ -98,6 +98,9 @@ class ExperimentService {
 
   jobs::JobSystem& jobs_;
   ArtifactCache& cache_;
+  /// At most jobs_.size() flows compute at once; the wait for a slot is the
+  /// serve.request_queue_ms segment.
+  std::counting_semaphore<> compute_slots_;
   std::atomic<std::uint64_t> requests_{0};
   mutable std::mutex stats_mutex_;  ///< guards frozen_stats_
   std::optional<ServiceStats> frozen_stats_;

@@ -8,11 +8,7 @@
 
 namespace fbt {
 
-PackedFaultProp::PackedFaultProp(const Netlist& netlist,
-                                 std::shared_ptr<const FlatFanins> flat)
-    : netlist_(&netlist),
-      flat_(flat != nullptr ? std::move(flat)
-                            : std::make_shared<const FlatFanins>(netlist)) {
+PackedFaultProp::PackedFaultProp(const Netlist& netlist) : netlist_(&netlist) {
   require(netlist.finalized(), "PackedFaultProp", "netlist must be finalized");
   const std::size_t n = netlist.size();
 
@@ -39,7 +35,7 @@ PackedFaultProp::PackedFaultProp(const Netlist& netlist,
   nodes_.assign(n, Node{});
   chain_.clear();
   NodeId prev = kNoNode;
-  for (const GateOp& op : flat_->program()) {
+  for (const GateOp& op : netlist.program()) {
     Node& m = nodes_[inv_[op.out]];
     if (op.out != prev) {
       m.fan0 = inv_[op.a];
@@ -253,8 +249,7 @@ std::uint64_t PackedFaultProp::propagate_internal(std::span<const NodeId> sites,
 }
 
 std::uint64_t PackedFaultProp::footprint_bytes() const {
-  return sizeof(*this) - sizeof(flat_) + flat_->footprint_bytes() +
-         nodes_.size() * sizeof(Node) +
+  return sizeof(*this) + nodes_.size() * sizeof(Node) +
          (inject_.size() + frontier_bits_.size() + site_bits_.size()) *
              sizeof(std::uint64_t) +
          chain_.size() * sizeof(ChainOp) +

@@ -31,11 +31,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "netlist/flat_fanins.hpp"
 #include "netlist/netlist.hpp"
 
 namespace fbt {
@@ -44,11 +42,9 @@ class PackedFaultProp {
  public:
   static constexpr std::size_t kLanes = 64;
 
-  /// `flat` shares a pre-built CSR of `netlist` (nullptr rebuilds one); the
-  /// fault grader hands the same immutable CSR to every walker, and each
-  /// kernel lays its own level-major copy out from it.
-  explicit PackedFaultProp(const Netlist& netlist,
-                           std::shared_ptr<const FlatFanins> flat = nullptr);
+  /// Lays its own level-major copy of `netlist`'s compiled gate program
+  /// out; the netlist must outlive the kernel.
+  explicit PackedFaultProp(const Netlist& netlist);
 
   /// Binds the fault-free frame-2 trace of the current 64-test block: one
   /// word per node, bit t = test t's settled value. Copies the words into
@@ -112,7 +108,6 @@ class PackedFaultProp {
   };
 
   const Netlist* netlist_;
-  std::shared_ptr<const FlatFanins> flat_;  ///< immutable, possibly shared
 
   // Level-major internal id space: perm_[internal] = netlist id,
   // inv_[netlist id] = internal. All arrays below are internal-indexed and

@@ -8,11 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "netlist/flat_fanins.hpp"
 #include "netlist/netlist.hpp"
 #include "obs/metrics.hpp"
 
@@ -28,12 +26,9 @@ struct SeqStep {
 
 class SeqSim {
  public:
+  /// Runs `netlist`'s own compiled gate program; the netlist must outlive
+  /// the simulator.
   explicit SeqSim(const Netlist& netlist);
-
-  /// Shares a pre-built flattened fanin view (CSR) of `netlist` instead of
-  /// rebuilding it -- the serving cache hands the same immutable CSR to many
-  /// concurrent simulators. `flat` must describe `netlist` exactly.
-  SeqSim(const Netlist& netlist, std::shared_ptr<const FlatFanins> flat);
 
   /// Loads a state (one 0/1 value per flop, in netlist flop order), resets the
   /// cycle counter, and clears switching-activity history (the next step's
@@ -88,17 +83,15 @@ class SeqSim {
   void snapshot_into(Snapshot& out) const;
   void restore(const Snapshot& snap);
 
-  /// Bytes owned by the flattened fanin view and value/state arrays
-  /// (resource telemetry).
+  /// Bytes owned by the value/state arrays (resource telemetry).
   std::uint64_t footprint_bytes() const {
-    return sizeof(*this) - sizeof(flat_) + flat_->footprint_bytes() +
+    return sizeof(*this) +
            (values_.size() + prev_values_.size() + state_.size()) *
                sizeof(std::uint8_t);
   }
 
  private:
   const Netlist* netlist_;
-  std::shared_ptr<const FlatFanins> flat_;  ///< immutable, possibly shared
   std::vector<std::uint8_t> values_;       // settled values, current cycle
   std::vector<std::uint8_t> prev_values_;  // settled values, previous cycle
   std::vector<std::uint8_t> state_;        // per flop

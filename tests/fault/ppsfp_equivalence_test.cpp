@@ -69,7 +69,7 @@ TEST(PpsfpEquivalence, GradeMatchesSerialOnEveryRegistryBenchmark) {
 
       for (const std::uint32_t width : kWidths) {
         for (const std::size_t threads : thread_counts_under_test()) {
-          BroadsideFaultSim packed(nl, width, nullptr, threads);
+          BroadsideFaultSim packed(nl, width, threads);
           std::vector<std::uint32_t> counts(faults.size(), 0);
           GradeProvenance prov;
           const std::size_t fresh =
@@ -105,7 +105,7 @@ void expect_threads_match_serial(
   const std::size_t serial_new =
       serial.grade(tests, faults, serial_counts, limit, &serial_prov);
   for (const std::size_t threads : thread_counts) {
-    BroadsideFaultSim packed(nl, 64, nullptr, threads);
+    BroadsideFaultSim packed(nl, 64, threads);
     std::vector<std::uint32_t> counts = init;
     GradeProvenance prov;
     EXPECT_EQ(packed.grade(tests, faults, counts, limit, &prov), serial_new)
@@ -134,7 +134,7 @@ TEST_F(ThreadedWalk, CarriesDetectionCreditInAndOut) {
   const std::size_t serial_more = serial.grade(tests, faults, serial_counts, 4);
 
   for (const std::size_t threads : thread_counts_under_test()) {
-    BroadsideFaultSim packed(nl, 64, nullptr, threads);
+    BroadsideFaultSim packed(nl, 64, threads);
     std::vector<std::uint32_t> counts(faults.size(), 0);
     packed.grade(tests, faults, counts, 4);
     GradeProvenance second;
@@ -167,7 +167,7 @@ TEST_F(ThreadedWalk, AllFaultsSaturatedLoadsNoBlock) {
   const TestSet tests = random_tests(nl, 256, 13);
   const std::vector<std::uint32_t> before(faults.size(), 1);
   for (const std::size_t threads : thread_counts_under_test()) {
-    BroadsideFaultSim packed(nl, 64, nullptr, threads);
+    BroadsideFaultSim packed(nl, 64, threads);
     std::vector<std::uint32_t> counts = before;
     GradeProvenance prov;
     EXPECT_EQ(packed.grade(tests, faults, counts, 1, &prov), 0u);
@@ -234,7 +234,7 @@ TEST_F(ThreadedWalk, TestsGradedAndBlocksLoadedIgnoreThreadCount) {
   std::vector<std::uint64_t> graded;
   std::vector<std::uint64_t> loaded;
   for (const std::size_t threads : thread_counts_under_test()) {
-    BroadsideFaultSim packed(nl, 64, nullptr, threads);
+    BroadsideFaultSim packed(nl, 64, threads);
     std::vector<std::uint32_t> counts(faults.size(), 0);
     const std::uint64_t graded0 = counter("fault.tests_graded");
     const std::uint64_t loaded0 = counter("fault.blocks_loaded");

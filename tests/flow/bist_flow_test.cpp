@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -67,9 +68,14 @@ TEST(BistFlow, BatchFlowRunsOnTheCallingThread) {
   BistExperimentConfig cfg = small_experiment("s298", "s386");
   cfg.num_threads = 1;
   jobs::JobSystem jobs(4);
-  (void)run_bist_experiment(cfg, jobs, ExperimentArtifacts{});
+  {
+    obs::PhaseSpan caller_span("caller");  // records the caller's tid
+    (void)run_bist_experiment(cfg, jobs, ExperimentArtifacts{});
+  }
   EXPECT_EQ(jobs.scheduler_snapshot().submitted, 0u);
-  const std::uint32_t caller = obs::detail::trace_thread_tid();
+  const std::vector<obs::PhaseNode> roots = obs::PhaseTrace::instance().roots();
+  ASSERT_FALSE(roots.empty());
+  const std::uint32_t caller = roots.back().tid;
 
   const std::string json = obs::PhaseTrace::instance().chrome_trace_json();
   obs::JsonValue doc;

@@ -4,14 +4,12 @@
 
 #include <atomic>
 #include <latch>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "obs/instrument.hpp"
 #include "obs/metrics.hpp"
-#include "util/require.hpp"
 
 namespace fbt::jobs {
 namespace {
@@ -25,23 +23,6 @@ TEST(JobSystem, ResolveThreadsMapsZeroToHardware) {
   EXPECT_GE(JobSystem::resolve_threads(0), 1u);
   EXPECT_EQ(JobSystem::resolve_threads(3), 3u);
   EXPECT_EQ(JobSystem::resolve_threads(1), 1u);
-}
-
-TEST(JobSystem, SubmitRunsAndWaitBlocks) {
-  JobSystem jobs(kPool);
-  std::atomic<int> ran{0};
-  const TaskHandle h = jobs.submit([&] { ran.fetch_add(1); });
-  EXPECT_TRUE(h.valid());
-  jobs.wait(h);
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_TRUE(h.done());
-}
-
-TEST(JobSystem, InvalidHandleWaitIsNoop) {
-  JobSystem jobs(kPool);
-  TaskHandle inert;
-  EXPECT_FALSE(inert.valid());
-  jobs.wait(inert);  // must not hang or throw
 }
 
 TEST(JobSystem, ParallelForCoversEveryIndexExactlyOnce) {
@@ -59,21 +40,15 @@ TEST(JobSystem, SingleWorkerParallelForRunsInline) {
   jobs.parallel_for(seen.size(),
                     [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
   for (const std::thread::id& id : seen) EXPECT_EQ(id, caller);
+  EXPECT_EQ(jobs.scheduler_snapshot().submitted, 0u);
 }
 
-TEST(JobSystem, ExceptionRethrownOnWait) {
+TEST(JobSystem, ParallelForRunsEveryIndexThenRethrowsFirstByIndex) {
   JobSystem jobs(kPool);
-  const TaskHandle h =
-      jobs.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(jobs.wait(h), std::runtime_error);
-  // A second wait on the same handle rethrows again (the state is sticky).
-  EXPECT_THROW(jobs.wait(h), std::runtime_error);
-}
-
-TEST(JobSystem, ParallelForRethrowsFirstByIndex) {
-  JobSystem jobs(kPool);
+  std::atomic<int> ran{0};
   try {
-    jobs.parallel_for(64, [](std::size_t i) {
+    jobs.parallel_for(64, [&ran](std::size_t i) {
+      ran.fetch_add(1);
       if (i == 7) throw std::runtime_error("seven");
       if (i == 31) throw std::logic_error("thirty-one");
     });
@@ -81,6 +56,7 @@ TEST(JobSystem, ParallelForRethrowsFirstByIndex) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "seven");
   }
+  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(JobSystem, NestedParallelForDoesNotDeadlock) {
@@ -95,19 +71,21 @@ TEST(JobSystem, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(inner_total.load(), static_cast<int>(kPool * 3 * 16));
 }
 
-TEST(JobSystem, ParallelForReturnsWhileItsHelpersWaitBehindABlockedTask) {
-  // Every worker is parked, so the helper parallel_for queues cannot start:
-  // the caller claims and runs every index itself and returns without
-  // waiting for the helper.
+TEST(JobSystem, ParallelForReturnsWhileItsHelpersWaitBehindABusyWorker) {
+  // Two blocking callers park both workers: each caller and its one helper
+  // claim one index apiece and wait on `release`. The helper a third
+  // parallel_for queues then cannot start, so that caller claims and runs
+  // every index itself and returns without waiting for it.
   JobSystem jobs(2);
-  std::latch parked(2);
+  std::latch parked(4);
   std::latch release(1);
-  std::vector<TaskHandle> blockers;
-  for (int i = 0; i < 2; ++i) {
-    blockers.push_back(jobs.submit([&] {
-      parked.count_down();
-      release.wait();
-    }));
+  const auto park = [&](std::size_t) {
+    parked.count_down();
+    release.wait();
+  };
+  std::vector<std::thread> blockers;
+  for (int b = 0; b < 2; ++b) {
+    blockers.emplace_back([&] { jobs.parallel_for(2, park); });
   }
   parked.wait();
   const std::thread::id caller = std::this_thread::get_id();
@@ -118,84 +96,60 @@ TEST(JobSystem, ParallelForReturnsWhileItsHelpersWaitBehindABlockedTask) {
   for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
   EXPECT_EQ(jobs.scheduler_snapshot().queue_depth, 1u);  // the idle helper
   release.count_down();
-  for (const TaskHandle& h : blockers) jobs.wait(h);
+  for (std::thread& t : blockers) t.join();
 }
 
-TEST(JobSystem, WaitOnAWorkerOfTheSamePoolThrows) {
-  // wait() never runs other tasks, so blocking a worker on its own pool
-  // could deadlock; it refuses instead.
-  JobSystem jobs(2);
-  const TaskHandle first = jobs.submit([] {});
-  const TaskHandle nested = jobs.submit([&] { jobs.wait(first); });
-  EXPECT_THROW(jobs.wait(nested), Error);
-  jobs.wait(first);
-}
-
-TEST(JobSystem, ExternalSubmitsToOneWorkerRunInFifoOrder) {
-  JobSystem jobs(1);
-  constexpr int kTasks = 100;
-  std::vector<int> order;  // written by the single worker only
-  std::vector<TaskHandle> handles;
-  for (int i = 0; i < kTasks; ++i) {
-    handles.push_back(jobs.submit([&order, i] { order.push_back(i); }));
-  }
-  for (const TaskHandle& h : handles) jobs.wait(h);
-  std::vector<int> expected(kTasks);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(JobSystem, StressManySmallTasks) {
+TEST(JobSystem, ConcurrentCallersShareOnePool) {
+  // Several threads call parallel_for on one pool at once, the way
+  // concurrent serve requests grade faults; every index of every call runs
+  // exactly once.
   JobSystem jobs(kPool);
-  constexpr int kTasks = 5000;
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 200;
+  constexpr std::size_t kN = 8;
   std::atomic<long> total{0};
-  std::vector<TaskHandle> handles;
-  handles.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    handles.push_back(jobs.submit([&total, i] { total.fetch_add(i); }));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int k = 0; k < kCalls; ++k) {
+        jobs.parallel_for(kN, [&total](std::size_t i) {
+          total.fetch_add(static_cast<long>(i) + 1);
+        });
+      }
+    });
   }
-  for (const TaskHandle& h : handles) jobs.wait(h);
-  EXPECT_EQ(total.load(), static_cast<long>(kTasks) * (kTasks - 1) / 2);
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(total.load(),
+            static_cast<long>(kCallers) * kCalls * (kN * (kN + 1) / 2));
 }
 
-#if FBT_OBS_ENABLED
-TEST(JobSystem, CountersTrackSubmissionAndExecution) {
-  obs::registry().reset();
-  {
-    JobSystem jobs(kPool);
-    std::vector<TaskHandle> handles;
-    for (int i = 0; i < 100; ++i) handles.push_back(jobs.submit([] {}));
-    for (const TaskHandle& h : handles) jobs.wait(h);
-  }
-  const std::uint64_t submitted =
-      obs::registry().counter("jobs.submitted").value();
-  const std::uint64_t executed =
-      obs::registry().counter("jobs.executed").value();
-  EXPECT_GE(submitted, 100u);
-  EXPECT_EQ(executed, submitted);
-}
-#endif
-
-TEST(JobSystem, SchedulerSnapshotTracksLifetimeTotals) {
+TEST(JobSystem, SchedulerSnapshotCountsOneSubmitPerHelper) {
   JobSystem jobs(kPool);
   const SchedulerSnapshot before = jobs.scheduler_snapshot();
   EXPECT_EQ(before.workers, kPool);
   EXPECT_EQ(before.submitted, 0u);
   EXPECT_EQ(before.executed, 0u);
 
-  constexpr int kTasks = 200;
-  std::atomic<int> ran{0};
-  std::vector<TaskHandle> handles;
-  for (int i = 0; i < kTasks; ++i) {
-    handles.push_back(jobs.submit([&ran] { ran.fetch_add(1); }));
-  }
-  for (const TaskHandle& h : handles) jobs.wait(h);
+  // Inline calls queue nothing; each wider call queues size() - 1 helpers
+  // before it returns (fewer when there are fewer indices than workers).
+  jobs.parallel_for(1, [](std::size_t) {});
+  EXPECT_EQ(jobs.scheduler_snapshot().submitted, 0u);
+  constexpr int kCalls = 50;
+  for (int c = 0; c < kCalls; ++c) jobs.parallel_for(64, [](std::size_t) {});
+  jobs.parallel_for(2, [](std::size_t) {});
+  const std::uint64_t expected = kCalls * (kPool - 1) + 1;
+  EXPECT_EQ(jobs.scheduler_snapshot().submitted, expected);
 
-  const SchedulerSnapshot after = jobs.scheduler_snapshot();
-  EXPECT_EQ(after.workers, kPool);
-  EXPECT_EQ(after.submitted, static_cast<std::uint64_t>(kTasks));
-  EXPECT_EQ(after.executed, static_cast<std::uint64_t>(kTasks));
+  // Helpers may still be queued or running after their caller returned;
+  // every one of them runs.
+  SchedulerSnapshot after = jobs.scheduler_snapshot();
+  while (after.executed < after.submitted) {
+    std::this_thread::yield();
+    after = jobs.scheduler_snapshot();
+  }
+  EXPECT_EQ(after.executed, expected);
   EXPECT_EQ(after.queue_depth, 0u);
+  EXPECT_EQ(after.steals, 0u);
   EXPECT_GT(after.elapsed_ms, 0.0);
   // Utilization is bounded even when busy-time accounting is compiled out
   // (it reads 0 under FBT_OBS=OFF).
@@ -207,6 +161,23 @@ TEST(JobSystem, SchedulerSnapshotTracksLifetimeTotals) {
   EXPECT_EQ(after.busy_ms, 0.0);
 #endif
 }
+
+#if FBT_OBS_ENABLED
+TEST(JobSystem, CountersTrackSubmissionAndExecution) {
+  obs::registry().reset();
+  constexpr int kCalls = 100;
+  {
+    JobSystem jobs(kPool);
+    for (int c = 0; c < kCalls; ++c) {
+      jobs.parallel_for(kPool, [](std::size_t) {});
+    }
+  }  // the destructor runs every queued helper before joining
+  EXPECT_EQ(obs::registry().counter("jobs.submitted").value(),
+            static_cast<std::uint64_t>(kCalls * (kPool - 1)));
+  EXPECT_EQ(obs::registry().counter("jobs.executed").value(),
+            static_cast<std::uint64_t>(kCalls * (kPool - 1)));
+}
+#endif
 
 }  // namespace
 }  // namespace fbt::jobs

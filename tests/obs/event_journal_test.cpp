@@ -1,5 +1,6 @@
 #include "obs/event_journal.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -110,6 +111,42 @@ TEST(EventJournal, ConcurrentEmitsAreLosslessWithUniqueSeq) {
     EXPECT_FALSE(seen[e.seq]);
     seen[e.seq] = true;
   }
+}
+
+TEST(JournalTap, SeesOnlyItsOwnThreadsEventsWhileTheJournalKeepsAll) {
+  EventJournal j;
+  std::vector<std::string> tapped;
+  std::vector<std::uint64_t> seqs;
+  {
+    JournalTap tap([&](const JournalEvent& e) {
+      tapped.push_back(e.type);
+      seqs.push_back(e.seq);
+      // Runs after the journal released its lock, so it may read it.
+      EXPECT_EQ(j.size(), e.seq + 1);
+    });
+    j.emit("mine", {});
+    std::thread other([&j] { j.emit("theirs", {}); });
+    other.join();
+    j.emit("mine_again", {});
+  }
+  j.emit("after", {});
+  EXPECT_EQ(tapped, (std::vector<std::string>{"mine", "mine_again"}));
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 2}));
+  EXPECT_EQ(j.size(), 4u);
+}
+
+TEST(JournalTap, InnermostTapReceivesAndTheOuterOneIsRestored) {
+  EventJournal j;
+  int outer = 0;
+  int inner = 0;
+  JournalTap outer_tap([&outer](const JournalEvent&) { ++outer; });
+  {
+    JournalTap inner_tap([&inner](const JournalEvent&) { ++inner; });
+    j.emit("a", {});
+  }
+  j.emit("b", {});
+  EXPECT_EQ(inner, 1);
+  EXPECT_EQ(outer, 1);
 }
 
 #if FBT_OBS_ENABLED

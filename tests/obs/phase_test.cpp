@@ -1,7 +1,9 @@
 #include "obs/phase.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -188,6 +190,21 @@ TEST(PhaseTrace, ChromeTraceJsonListsEveryEvent) {
   EXPECT_NE(json.find("\"name\": \"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"inner\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
+
+  // The args carry each span's id and the id of the span it nests under
+  // (0 for a root).
+  const std::vector<PhaseNode> roots = trace.roots();
+  ASSERT_EQ(roots.size(), 1u);
+  ASSERT_EQ(roots[0].children.size(), 1u);
+  const std::uint64_t outer_id = roots[0].span_id;
+  EXPECT_NE(outer_id, 0u);
+  EXPECT_EQ(roots[0].parent_span_id, 0u);
+  EXPECT_EQ(roots[0].children[0].parent_span_id, outer_id);
+  EXPECT_NE(json.find("\"span_id\": " + std::to_string(outer_id) +
+                      ", \"parent_span_id\": 0"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"parent_span_id\": " + std::to_string(outer_id)),
+            std::string::npos);
 
   trace.clear();
   EXPECT_EQ(trace.chrome_trace_json(), "[]\n");

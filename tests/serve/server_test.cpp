@@ -6,13 +6,17 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "flow/bist_flow.hpp"
 #include "jobs/job_system.hpp"
+#include "obs/phase.hpp"
 #include "serve/cache_key.hpp"
 #include "serve/protocol.hpp"
 
@@ -277,6 +281,145 @@ TEST(ExperimentService, HandleLineExperimentEmitsResultWithoutReport) {
   EXPECT_TRUE(fx.service.handle_line(line, emit));
   EXPECT_NE(lines.back().find("\"cache\": \"hit\""), std::string::npos);
 }
+
+#if FBT_OBS_ENABLED
+/// Holds each caller until `parties` callers have arrived. Gives up after a
+/// minute and returns false, so a broken run fails instead of hanging.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int parties) : waiting_(parties) {}
+  bool arrive_and_wait() {
+    std::unique_lock lock(mutex_);
+    if (--waiting_ == 0) {
+      cv_.notify_all();
+      return true;
+    }
+    return cv_.wait_for(lock, std::chrono::minutes(1),
+                        [this] { return waiting_ == 0; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int waiting_;
+};
+
+std::string streaming_request(const std::string& id,
+                              const std::string& target) {
+  return R"({"type": "experiment", "id": ")" + id + R"(", "target": ")" +
+         target +
+         R"(", "driver": "buffers", "stream_progress": true, "config": )"
+         R"({"cal_sequences": 4, "cal_length": 400, "segment_length": 200, )"
+         R"("max_segment_failures": 2, "max_sequence_failures": 2, )"
+         R"("rng_seed": 19}})";
+}
+
+std::size_t count_containing(const std::vector<std::string>& lines,
+                             const std::string& needle) {
+  std::size_t n = 0;
+  for (const std::string& l : lines) n += l.find(needle) != std::string::npos;
+  return n;
+}
+
+TEST(ExperimentService, ConcurrentStreamsCarryOnlyTheirOwnProgress) {
+  // Two cold streaming requests on different targets run at once: each
+  // holds its first progress line until the other has sent one too, so
+  // both constructions are under way together. Each stream must still hold
+  // only its own run's events, live, ahead of its result line.
+  Fixture fx;
+  const std::string ids[2] = {"stream-a", "stream-b"};
+  const std::string targets[2] = {"s298", "s386"};
+  Rendezvous both_streaming(2);
+  std::vector<std::string> lines[2];
+  bool met[2] = {false, false};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      bool first_progress = true;
+      fx.service.handle_line(
+          streaming_request(ids[c], targets[c]), [&](const std::string& l) {
+            if (first_progress &&
+                l.find("\"type\": \"progress\"") != std::string::npos) {
+              first_progress = false;
+              met[c] = both_streaming.arrive_and_wait();
+            }
+            lines[c].push_back(l);
+          });
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (int c = 0; c < 2; ++c) {
+    SCOPED_TRACE(ids[c]);
+    EXPECT_TRUE(met[c]);
+    ASSERT_GE(lines[c].size(), 2u);
+    EXPECT_NE(lines[c].back().find("\"type\": \"result\""),
+              std::string::npos);
+    EXPECT_NE(lines[c].back().find("\"cache\": \"miss\""),
+              std::string::npos);
+    const std::string own_id = "\"id\": \"" + ids[c] + "\"";
+    for (std::size_t i = 0; i + 1 < lines[c].size(); ++i) {
+      EXPECT_NE(lines[c][i].find("\"type\": \"progress\""),
+                std::string::npos)
+          << lines[c][i];
+      EXPECT_NE(lines[c][i].find(own_id), std::string::npos) << lines[c][i];
+    }
+    EXPECT_EQ(count_containing(lines[c], "\"type\": \"construct_started\""),
+              1u);
+    EXPECT_EQ(
+        count_containing(lines[c], "\"type\": \"construct_finished\""), 1u);
+  }
+}
+
+const obs::PhaseNode* child_named(const obs::PhaseNode& node,
+                                  const std::string& name) {
+  for (const obs::PhaseNode& c : node.children) {
+    if (c.name == name) return &c;
+  }
+  return nullptr;
+}
+
+TEST(ExperimentService, ColdRequestTracesAsOneTreeOnItsOwnThread) {
+  // The flow runs on the request's thread and only its fault grading fans
+  // out over the pool, so the request's spans nest as one tree on one
+  // track, and no span anywhere is left pointing at a parent elsewhere.
+  obs::PhaseTrace::instance().clear();
+  jobs::JobSystem jobs(2);
+  ArtifactCache cache;
+  ExperimentService service(jobs, cache);
+  std::vector<std::string> lines;
+  ASSERT_TRUE(service.handle_line(
+      R"({"type": "experiment", "id": "t", "target": "s298", )"
+      R"("driver": "buffers", "stream_progress": false, "config": )"
+      R"({"cal_sequences": 4, "cal_length": 400, "segment_length": 200, )"
+      R"("max_segment_failures": 2, "max_sequence_failures": 2, )"
+      R"("rng_seed": 19, "num_threads": 2}})",
+      [&lines](const std::string& l) { lines.push_back(l); }));
+  ASSERT_EQ(lines.size(), 1u);
+  ASSERT_NE(lines[0].find("\"cache\": \"miss\""), std::string::npos);
+  EXPECT_GT(jobs.scheduler_snapshot().submitted, 0u);  // grading fanned out
+
+  const std::vector<obs::PhaseNode> roots = obs::PhaseTrace::instance().roots();
+  const obs::PhaseNode* request = nullptr;
+  for (const obs::PhaseNode& root : roots) {
+    EXPECT_EQ(root.parent_span_id, 0u) << root.name;
+    if (root.name == "serve_request") request = &root;
+  }
+  ASSERT_NE(request, nullptr);
+  const obs::PhaseNode* compute = child_named(*request, "request_compute");
+  ASSERT_NE(compute, nullptr);
+  const obs::PhaseNode* flow = child_named(*compute, "bist_experiment");
+  ASSERT_NE(flow, nullptr);
+  const obs::PhaseNode* construct = child_named(*flow, "construct");
+  ASSERT_NE(construct, nullptr);
+  const obs::PhaseNode* grade = child_named(*construct, "grade");
+  ASSERT_NE(grade, nullptr);
+  for (const obs::PhaseNode* span : {compute, flow, construct, grade}) {
+    EXPECT_EQ(span->tid, request->tid) << span->name;
+  }
+  EXPECT_EQ(grade->parent_span_id, construct->span_id);
+}
+#endif  // FBT_OBS_ENABLED
 
 /// `line` with its "elapsed_ms" member removed (the one field of a result
 /// that legitimately differs between two answers to the same request).

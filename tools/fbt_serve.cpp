@@ -4,7 +4,10 @@
 //                   [--report <REPORT_serve.json>] [--journal <f.ndjson>]
 //                   [--trace <trace.json>]
 //       Binds an AF_UNIX socket and serves NDJSON experiment requests until
-//       SIGINT/SIGTERM or a {"type":"shutdown"} request. On a signal the
+//       SIGINT/SIGTERM or a {"type":"shutdown"} request. Each request
+//       computes on its connection's thread; --threads N (0 = hardware
+//       concurrency) sizes the fault-grading pool and caps how many
+//       experiments compute at once. On a signal the
 //       service stats are frozen BEFORE the drain starts, so the final
 //       `stats` responses and the run report agree (in-flight requests still
 //       complete, they just no longer move the published numbers). On
