@@ -67,11 +67,13 @@ void BM_SeqSimStep(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_SeqSimStep, s5378, "s5378");
 BENCHMARK_CAPTURE(BM_SeqSimStep, spi, "spi");
 
+// One 64-lane step with its per-lane toggle count. CI gates its time at
+// <= 2.5x BM_BitSimEval64 on the same circuit: the count must stay a small
+// fraction of the step, as the Harley-Seal tree makes it.
 void BM_PackedSeqSimStep(benchmark::State& state, const char* name) {
   const fbt::Netlist& nl = circuit(name);
   fbt::PackedSeqSim sim(nl);
-  const std::vector<std::uint8_t> reset(nl.num_flops(), 0);
-  sim.load_broadcast(reset, {}, {}, false);
+  sim.load_reset_state();
   std::vector<std::uint64_t> pi(nl.num_inputs(), 0);
   std::vector<std::uint32_t> toggles(fbt::PackedSeqSim::kLanes, 0);
   fbt::Pcg32 rng(5);

@@ -33,6 +33,11 @@ struct SwaCalibration {
 /// driver -> target and returns the peak switching activity observed in the
 /// target. Requires driver.num_outputs() >= target.num_inputs(); the first
 /// num_inputs() driver outputs feed the target's inputs in order.
+/// Every sequence starts from reset with its own TPG seed, drawn up front
+/// from `config.rng_seed`. The sequences are independent, so they run up to
+/// 64 at a time, one per lane of a PackedTpg -> PackedSeqSim (driver) ->
+/// PackedSeqSim (target) pass; the result is bit-identical to stepping them
+/// one after another through the scalar Tpg and SeqSim.
 /// `target_flat` is ignored: the simulator reads `target`'s own arrays.
 /// Kept only because the fbtbench harness still passes it.
 SwaCalibration measure_swa_func(
@@ -42,6 +47,8 @@ SwaCalibration measure_swa_func(
 
 /// Full functional profile: the SWA peak plus the store of observed signal-
 /// transition patterns (§5.1, consumed by the pattern-bound generation mode).
+/// The capped store keeps the first patterns in sequence order, so this runs
+/// the same packed loop one sequence (lane 0) per pass.
 struct FunctionalProfile {
   double peak_percent = 0.0;
   TransitionPatternStore patterns;

@@ -9,8 +9,8 @@
 // tap positions the scalar Tpg uses. Each lane reproduces a scalar Tpg
 // reseeded with that lane's seed, bit for bit.
 //
-// No product code calls it yet. Its planned caller is packed SWA_func
-// calibration (one lane per calibration sequence), next to PackedSeqSim.
+// SWA_func calibration (bist/embedded.hpp) drives its driver PackedSeqSim
+// from it, one lane per calibration sequence.
 #pragma once
 
 #include <cstdint>

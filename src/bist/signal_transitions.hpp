@@ -78,6 +78,8 @@ class TransitionPatternStore {
 
   std::size_t size() const { return patterns_.size(); }
   bool saturated() const { return patterns_.size() >= cap_; }
+  /// The stored patterns, in the order they were recorded.
+  const std::vector<TransitionPattern>& patterns() const { return patterns_; }
 
  private:
   std::size_t cap_;

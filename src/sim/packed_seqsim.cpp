@@ -1,7 +1,8 @@
 #include "sim/packed_seqsim.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <array>
+#include <limits>
 
 #include "obs/instrument.hpp"
 #include "sim/gate_program.hpp"
@@ -11,11 +12,77 @@ namespace fbt {
 
 namespace {
 
-inline std::uint64_t broadcast_bit(std::uint8_t v) {
-  return v ? ~0ULL : 0ULL;
+// Carry-save adder, lane by lane: h:l = a + b + c.
+inline void csa(std::uint64_t& h, std::uint64_t& l, std::uint64_t a,
+                std::uint64_t b, std::uint64_t c) {
+  const std::uint64_t u = a ^ b;
+  h = (a & b) | (u & c);
+  l = u ^ c;
 }
 
 }  // namespace
+
+void lane_transition_counts(std::span<const std::uint64_t> cur,
+                            std::span<const std::uint64_t> prev,
+                            std::span<std::uint32_t, 64> counts) {
+  require(cur.size() == prev.size(), "lane_transition_counts",
+          "value spans must have equal size");
+  require(cur.size() <= std::numeric_limits<std::uint32_t>::max(),
+          "lane_transition_counts", "too many words for 32-bit counts");
+  // Bit planes of the sixteens count: plane p has weight 16 << p, so 28
+  // planes hold any 32-bit count.
+  std::array<std::uint64_t, 28> planes{};
+  std::size_t used = 0;
+  std::uint64_t ones = 0, twos = 0, fours = 0, eights = 0;
+
+  const auto add_block = [&](const std::uint64_t* a, const std::uint64_t* b) {
+    std::uint64_t twos_a = 0, twos_b = 0, fours_a = 0, fours_b = 0;
+    std::uint64_t eights_a = 0, eights_b = 0, sixteens = 0;
+    csa(twos_a, ones, ones, a[0] ^ b[0], a[1] ^ b[1]);
+    csa(twos_b, ones, ones, a[2] ^ b[2], a[3] ^ b[3]);
+    csa(fours_a, twos, twos, twos_a, twos_b);
+    csa(twos_a, ones, ones, a[4] ^ b[4], a[5] ^ b[5]);
+    csa(twos_b, ones, ones, a[6] ^ b[6], a[7] ^ b[7]);
+    csa(fours_b, twos, twos, twos_a, twos_b);
+    csa(eights_a, fours, fours, fours_a, fours_b);
+    csa(twos_a, ones, ones, a[8] ^ b[8], a[9] ^ b[9]);
+    csa(twos_b, ones, ones, a[10] ^ b[10], a[11] ^ b[11]);
+    csa(fours_a, twos, twos, twos_a, twos_b);
+    csa(twos_a, ones, ones, a[12] ^ b[12], a[13] ^ b[13]);
+    csa(twos_b, ones, ones, a[14] ^ b[14], a[15] ^ b[15]);
+    csa(fours_b, twos, twos, twos_a, twos_b);
+    csa(eights_b, fours, fours, fours_a, fours_b);
+    csa(sixteens, eights, eights, eights_a, eights_b);
+    for (std::size_t p = 0; sixteens != 0; ++p) {
+      const std::uint64_t plane = planes[p];
+      planes[p] = plane ^ sixteens;
+      sixteens &= plane;
+      used = std::max(used, p + 1);
+    }
+  };
+
+  const std::size_t n = cur.size();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) add_block(cur.data() + i, prev.data() + i);
+  if (i < n) {
+    // Zero-padded last block: padding words carry no transitions.
+    std::array<std::uint64_t, 16> a{}, b{};
+    std::copy(cur.begin() + i, cur.end(), a.begin());
+    std::copy(prev.begin() + i, prev.end(), b.begin());
+    add_block(a.data(), b.data());
+  }
+
+  for (std::size_t k = 0; k < 64; ++k) {
+    std::uint32_t c = 0;
+    for (std::size_t p = used; p-- > 0;) {
+      c = (c << 1) | static_cast<std::uint32_t>((planes[p] >> k) & 1);
+    }
+    counts[k] = (c << 4) | static_cast<std::uint32_t>(
+                               (((eights >> k) & 1) << 3) |
+                               (((fours >> k) & 1) << 2) |
+                               (((twos >> k) & 1) << 1) | ((ones >> k) & 1));
+  }
+}
 
 PackedSeqSim::PackedSeqSim(const Netlist& netlist)
     : netlist_(&netlist) {
@@ -23,38 +90,19 @@ PackedSeqSim::PackedSeqSim(const Netlist& netlist)
   values_.assign(netlist.size(), 0);
   prev_values_.assign(netlist.size(), 0);
   state_.assign(netlist.num_flops(), 0);
-  // Enough bit planes to count a toggle on every line of the circuit.
-  planes_.assign(std::bit_width(netlist.size()), 0);
 }
 
-void PackedSeqSim::load_broadcast(std::span<const std::uint8_t> state,
-                                  std::span<const std::uint8_t> values,
-                                  std::span<const std::uint8_t> prev_values,
-                                  bool have_prev) {
-  require(state.size() == netlist_->num_flops(),
-          "PackedSeqSim::load_broadcast", "state size must equal flop count");
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    state_[i] = broadcast_bit(state[i]);
-  }
-  have_prev_ = have_prev;
-  if (have_prev) {
-    require(values.size() == netlist_->size() &&
-                prev_values.size() == netlist_->size(),
-            "PackedSeqSim::load_broadcast",
-            "value vectors must cover every node when have_prev is set");
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      values_[i] = broadcast_bit(values[i]);
-      prev_values_[i] = broadcast_bit(prev_values[i]);
-    }
-  }
+void PackedSeqSim::load_reset_state() {
+  std::fill(state_.begin(), state_.end(), 0ULL);
+  have_prev_ = false;
 }
 
 void PackedSeqSim::step(std::span<const std::uint64_t> pi_words,
                         std::span<std::uint32_t> toggles) {
   require(pi_words.size() == netlist_->num_inputs(), "PackedSeqSim::step",
           "packed primary input word count mismatch");
-  require(toggles.size() == kLanes, "PackedSeqSim::step",
-          "toggles span must have one entry per lane");
+  require(toggles.empty() || toggles.size() == kLanes, "PackedSeqSim::step",
+          "toggles span must be empty or have one entry per lane");
 
   values_.swap(prev_values_);
 
@@ -73,34 +121,19 @@ void PackedSeqSim::step(std::span<const std::uint64_t> pi_words,
   cycles_stepped_.add(1);
 #endif
 
-  // Per-lane switching activity via carry-save vertical counters: add each
-  // node's transition word (one bit per lane) into the bit planes, then read
-  // the 64 lane counts back out. Mirrors SeqSim: the first step after a cold
-  // load has no previous settled cycle, so no activity is measured.
-  std::fill(toggles.begin(), toggles.end(), 0u);
-  if (have_prev_) {
-    std::fill(planes_.begin(), planes_.end(), 0ULL);
-    for (NodeId id = 0; id < netlist_->size(); ++id) {
-      std::uint64_t carry = values_[id] ^ prev_values_[id];
-      for (std::size_t p = 0; carry != 0; ++p) {
-        const std::uint64_t plane = planes_[p];
-        planes_[p] = plane ^ carry;
-        carry = plane & carry;
-      }
-    }
-    for (std::size_t p = 0; p < planes_.size(); ++p) {
-      std::uint64_t w = planes_[p];
-      while (w != 0) {
-        const unsigned k = static_cast<unsigned>(std::countr_zero(w));
-        toggles[k] += 1u << p;
-        w &= w - 1;
-      }
+  // Per-lane switching activity. Mirrors SeqSim: the first step after a
+  // reset has no previous settled cycle, so no activity is measured.
+  if (!toggles.empty()) {
+    const std::span<std::uint32_t, kLanes> counts(toggles.data(), kLanes);
+    if (have_prev_) {
+      lane_transition_counts(values_, prev_values_, counts);
+    } else {
+      std::fill(counts.begin(), counts.end(), 0u);
     }
   }
   have_prev_ = true;
 
-  // State update, per lane (no holding: the packed engine falls back to the
-  // scalar path for state-holding configurations).
+  // State update, per lane.
   for (std::size_t i = 0; i < state_.size(); ++i) {
     state_[i] = values_[netlist_->dff_input(netlist_->flops()[i])];
   }

@@ -24,6 +24,16 @@ struct SeqStep {
   double switching_percent = 0.0;
 };
 
+/// SWA(i) as a percentage of all circuit lines (§4.4). Packed calibration
+/// applies the same expression to its lane counts, so both report
+/// bit-identical percentages.
+inline double switching_percent(std::size_t toggled_lines,
+                                std::size_t num_lines) {
+  return num_lines == 0
+             ? 0.0
+             : 100.0 * toggled_lines / static_cast<double>(num_lines);
+}
+
 class SeqSim {
  public:
   /// Runs `netlist`'s own compiled gate program; the netlist must outlive

@@ -160,8 +160,7 @@ TEST(GateProgram, SimulatorsExposeExactlyTheNetlistNodes) {
   SeqSim seq(nl);
   seq.load_reset_state();
   PackedSeqSim packed(nl);
-  packed.load_broadcast(std::vector<std::uint8_t>(nl.num_flops(), 0), {}, {},
-                        false);
+  packed.load_reset_state();
   std::vector<std::uint8_t> pi(nl.num_inputs());
   std::vector<std::uint64_t> pi_words(nl.num_inputs());
   std::array<std::uint32_t, PackedSeqSim::kLanes> toggles{};
